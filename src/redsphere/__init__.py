@@ -8,17 +8,14 @@ extremal claims about their perimeter, diameter and smallest enclosing cap.
 """
 
 from .errors import (
-    ConstraintViolation,
     CoplanarArcs,
     DegenerateAngle,
     DegenerateArc,
     DegeneratePoint,
     DegenerateProjection,
     DomainError,
-    InconsistentData,
     NoEnclosingCap,
     NoIntersection,
-    NotConverged,
     NotConvex,
     NotInHemisphere,
     PolygonDocumentError,
@@ -27,20 +24,14 @@ from .errors import (
 from .sphere_core import (
     Arc,
     GreatCircle,
-    Lune,
-    RightTriangle,
     SpherePoint,
     angle_at,
     arc_intersection,
     distance,
-    point_circle_distance,
     project_to_circle,
-    right_triangle_residuals,
-    solve_right_triangle,
 )
 from .formulas import (
     RegularMetrics,
-    ThicknessParams,
     arm_from_angle,
     arm_length,
     covering_radius_bound,
@@ -72,10 +63,6 @@ from .verify import (
     Table1Row,
     VerificationReport,
     check_bound_gap,
-    check_circumradius,
-    check_diameter,
-    check_jung,
-    check_perimeter_min,
     check_regular_monotonicity,
     check_scalar_lemmas,
     full_suite,
@@ -94,14 +81,12 @@ __all__ = [
     # errors
     "RedsphereError", "DomainError", "DegeneratePoint", "DegenerateArc",
     "DegenerateProjection", "DegenerateAngle", "NoIntersection", "CoplanarArcs",
-    "InconsistentData", "NotConvex", "NotInHemisphere", "NoEnclosingCap",
-    "NotConverged", "ConstraintViolation", "PolygonDocumentError",
+    "NotConvex", "NotInHemisphere", "NoEnclosingCap", "PolygonDocumentError",
     # sphere core
-    "SpherePoint", "GreatCircle", "Arc", "Lune", "RightTriangle",
+    "SpherePoint", "GreatCircle", "Arc",
     "distance", "angle_at", "arc_intersection", "project_to_circle",
-    "point_circle_distance", "right_triangle_residuals", "solve_right_triangle",
     # closed forms
-    "ThicknessParams", "RegularMetrics", "x_limit", "regular_triangle_half_angle",
+    "RegularMetrics", "x_limit", "regular_triangle_half_angle",
     "arm_length", "crossing_angle", "crossing_angle_inv", "arm_from_angle",
     "regular_metrics", "covering_radius_bound", "diameter_bound",
     "diameter_bound_coarse",
@@ -113,8 +98,7 @@ __all__ = [
     "Splitmix64", "SamplerConfig", "SampleResult", "sample_reduced", "sample_batch",
     # verification
     "VerificationReport", "Table1Row", "OMEGA_GRID", "LAMBDA_GRID",
-    "TABLE1_REFERENCE", "check_perimeter_min", "check_regular_monotonicity",
-    "check_diameter", "check_bound_gap", "check_circumradius", "check_jung",
+    "TABLE1_REFERENCE", "check_regular_monotonicity", "check_bound_gap",
     "check_scalar_lemmas", "reproduce_table1", "table1_reports",
     "polygon_reports", "full_suite", "summarize", "reports_to_json",
     "reports_to_csv",

@@ -20,13 +20,12 @@ from .formulas import regular_metrics
 from .sampler import SamplerConfig, sample_batch
 from .verify import (
     OMEGA_GRID,
-    TABLE1_REFERENCE,
     full_suite,
     polygon_reports,
     reports_to_csv,
     reports_to_json,
-    reproduce_table1,
     summarize,
+    table1_reports,
 )
 
 __all__ = ["main"]
@@ -204,19 +203,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    rows = reproduce_table1()
-    ok = True
-    records = []
-    for row in rows:
-        ref = TABLE1_REFERENCE[row.omega]
-        passed = abs(row.radius - ref) <= 1e-5
-        ok = ok and passed
-        records.append({
-            "omega": _fmt9(row.omega),
-            "radius": _fmt9(row.radius),
-            "paper_value": ref,
-            "passed": passed,
-        })
+    reports = table1_reports()
+    records = [
+        {
+            "omega": _fmt9(omega),
+            "radius": _fmt9(r.measured),
+            "paper_value": r.bound,
+            "passed": r.passed,
+        }
+        for omega, r in zip(OMEGA_GRID, reports)
+    ]
     if args.format == "csv":
         print("omega,radius,paper_value,passed")
         for rec in records:
@@ -224,7 +220,7 @@ def _cmd_table1(args) -> int:
                   f"{rec['paper_value']:.6f},{rec['passed']}")
     else:
         _print_json(records)
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_sample(args) -> int:

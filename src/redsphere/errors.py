@@ -38,10 +38,6 @@ class CoplanarArcs(RedsphereError):
     """Two arcs on the same great circle; no transversal intersection."""
 
 
-class InconsistentData(RedsphereError):
-    """No right spherical triangle satisfies the given constraints."""
-
-
 class NotConvex(RedsphereError):
     """Vertex list is not a strictly convex counterclockwise polygon."""
 
@@ -52,14 +48,6 @@ class NotInHemisphere(RedsphereError):
 
 class NoEnclosingCap(RedsphereError):
     """No spherical cap of radius <= pi/2 contains every vertex."""
-
-
-class NotConverged(RedsphereError):
-    """A sample did not reach the residual tolerance."""
-
-
-class ConstraintViolation(RedsphereError):
-    """A converged sample violates a side-interior constraint."""
 
 
 class PolygonDocumentError(RedsphereError):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 __all__ = [
-    "ThicknessParams",
     "RegularMetrics",
     "x_limit",
     "regular_triangle_half_angle",
@@ -67,30 +66,6 @@ def regular_triangle_half_angle(thickness: float) -> float:
     _check_thickness(thickness)
     cw = math.cos(thickness)
     return math.asin(_clamp((-cw + math.sqrt(cw * cw + 8.0)) / 4.0))
-
-
-@dataclass(frozen=True)
-class ThicknessParams:
-    """Derived constants of one thickness value."""
-
-    thickness: float
-    tan_thickness: float
-    triangle_half_angle: float
-
-    def __post_init__(self) -> None:
-        _check_thickness(self.thickness)
-        if abs(self.tan_thickness - math.tan(self.thickness)) > 1e-12:
-            raise DomainError("tan_thickness inconsistent with thickness")
-        if not math.pi / 6 < self.triangle_half_angle < math.pi / 4:
-            raise DomainError("triangle half angle outside (pi/6, pi/4)")
-
-    @classmethod
-    def from_thickness(cls, thickness: float) -> "ThicknessParams":
-        return cls(
-            thickness=thickness,
-            tan_thickness=math.tan(thickness),
-            triangle_half_angle=regular_triangle_half_angle(thickness),
-        )
 
 
 def arm_length(x: float, lam: float) -> float:

@@ -20,25 +20,15 @@ import numpy as np
 
 from . import formulas
 from .errors import (
-    CoplanarArcs,
     DegenerateAngle,
-    DegenerateArc,
+    DegenerateProjection,
     DomainError,
     NoEnclosingCap,
-    NoIntersection,
     NotConvex,
     NotInHemisphere,
     PolygonDocumentError,
 )
-from .sphere_core import (
-    Arc,
-    GreatCircle,
-    SpherePoint,
-    angle_at,
-    arc_intersection,
-    distance,
-    project_to_circle,
-)
+from .sphere_core import ON_ARC_TOL, SEPARATION_TOL, SpherePoint, _angles, _cross_rows, distance
 
 __all__ = [
     "SphericalPolygon",
@@ -83,18 +73,24 @@ def edge_poles(V: np.ndarray) -> np.ndarray:
     return P / np.linalg.norm(P, axis=1, keepdims=True)
 
 
+def _opposite_poles(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices j, k of the side opposite each vertex and its unit pole v_j x v_k."""
+    n = V.shape[0]
+    i = np.arange(n)
+    j = (i + (n - 1) // 2) % n
+    k = (i + (n + 1) // 2) % n
+    P = _cross_rows(V[j], V[k])
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    return j, k, P
+
+
 def opposite_side_heights(V: np.ndarray) -> np.ndarray:
     """Signed height of each vertex over its opposite side's great circle.
 
     V is an (n, 3) array of unit rows in counterclockwise order, n odd.
     Positive on the polygon's interior side.
     """
-    n = V.shape[0]
-    i = np.arange(n)
-    j = (i + (n - 1) // 2) % n
-    k = (i + (n + 1) // 2) % n
-    P = np.cross(V[j], V[k])
-    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    _, _, P = _opposite_poles(V)
     return np.arcsin(np.clip(np.einsum("ij,ij->i", V, P), -1.0, 1.0))
 
 
@@ -139,8 +135,7 @@ class SphericalPolygon:
 
     def perimeter(self) -> float:
         V = self._array
-        d = np.einsum("ij,ij->i", V, np.roll(V, -1, axis=0))
-        return float(np.sum(np.arccos(np.clip(d, -1.0, 1.0))))
+        return float(np.sum(_angles(V, np.roll(V, -1, axis=0))))
 
     def thickness(self) -> float:
         """Width of the thinnest lune containing the polygon.
@@ -159,21 +154,19 @@ class SphericalPolygon:
     def diameter(self, reduced_hint: bool = False) -> float:
         """Largest pairwise vertex distance.
 
-        With reduced_hint (odd n only) just the pairs (i, i + (n +- 1)/2)
-        are scanned; for reduced polygons the diameter is attained there.
+        With reduced_hint (odd n only) just the pairs (i, i + (n - 1)/2) are
+        scanned: each vertex with one end of its opposite side.  The pair
+        with the other end, (i, i + (n + 1)/2), is the pair (m, m + (n - 1)/2)
+        of m = i + (n + 1)/2.  For reduced polygons the diameter is attained
+        at these pairs.
         """
         V = self._array
         n = self.n
         if reduced_hint and n % 2 == 1:
             i = np.arange(n)
-            best = -1.0
-            for off in ((n - 1) // 2, (n + 1) // 2):
-                d = np.einsum("ij,ij->i", V, V[(i + off) % n])
-                best = max(best, float(np.max(np.arccos(np.clip(d, -1.0, 1.0)))))
-            return best
-        G = np.clip(V @ V.T, -1.0, 1.0)
-        iu = np.triu_indices(n, k=1)
-        return float(np.max(np.arccos(G[iu])))
+            return float(np.max(_angles(V, V[(i + (n - 1) // 2) % n])))
+        a, b = np.triu_indices(n, k=1)
+        return float(np.max(_angles(V[a], V[b])))
 
     def circumcap(self) -> "Cap":
         """Smallest spherical cap containing every vertex.
@@ -266,12 +259,40 @@ class ReducedWitness:
     reason: Optional[str]
 
 
+def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", A, B)
+
+
+def _degenerate(d: np.ndarray) -> bool:
+    """Any unit-vector dot product that marks a coincident or antipodal pair."""
+    return bool(np.any(np.abs(d) >= 1.0 - SEPARATION_TOL))
+
+
+def _arc_parameter(X: np.ndarray, A: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Signed arc length from a to x along the great circle leaving a in direction t.
+
+    Rows of X lie on the circle; A and T are orthonormal rows.
+    """
+    return np.arctan2(_dots(X, T), _dots(X, A))
+
+
 def reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL) -> ReducedWitness:
     """Decide reducedness and collect the per-vertex witness data.
 
     A polygon passes iff its vertex count is odd, every projection foot is
     strictly interior to its side, and the spread of the
     vertex-to-opposite-side distances stays within tol.
+
+    All vertices are handled at once on the (n, 3) vertex array.  With
+    (v_j, v_k) the side opposite v_i and p its unit pole, the foot t_i is
+    v_i - (v_i . p) p, normalized.  It is interior when its signed arc
+    parameter from v_j lies in (EDGE_EPS, 1 - EDGE_EPS) times the side
+    length.  The spokes v_i -> t_i and v_k -> t_k cross at +-(q_i x q_k),
+    with q the unit spoke poles; the sign whose arc parameters land on both
+    closed spokes is taken.  A point at signed parameter s on an arc of
+    length D overshoots the arc-length sum of Arc.contains by
+    2 max(-s, s - D, 0), so the slack ON_ARC_TOL there allows s in
+    [-ON_ARC_TOL/2, D + ON_ARC_TOL/2] here.
     """
     n = polygon.n
     if n % 2 == 0:
@@ -289,55 +310,80 @@ def reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL) -> Reduce
             reason=f"not an odd-gon: n={n}",
         )
 
-    verts = polygon.vertices
-    feet: list[SpherePoint] = []
-    dists: list[float] = []
-    interior: list[bool] = []
-    for i in range(n):
-        j, k = opposite_side(i, n)
-        circle = GreatCircle.through(verts[j], verts[k])
-        foot = project_to_circle(verts[i], circle)
-        feet.append(foot)
-        dists.append(distance(verts[i], foot))
-        side = Arc(verts[j], verts[k])
-        on_segment = side.contains(foot, tol=EDGE_EPS)
-        u = side.parameter(foot)
-        interior.append(on_segment and EDGE_EPS < u < 1.0 - EDGE_EPS)
+    V = polygon._array
+    j, k, P = _opposite_poles(V)
+    h = _dots(V, P)
+    if _degenerate(h):
+        raise DegenerateProjection("point coincides with a circle pole")
+    F = V - h[:, None] * P
+    F /= np.linalg.norm(F, axis=1, keepdims=True)
+    vf = _dots(V, F)
+    vk = _dots(V, V[k])
+    if _degenerate(vf) or _degenerate(vk):
+        raise DegenerateAngle("ray endpoint coincident or antipodal with vertex")
 
-    crossings: list[Optional[SpherePoint]] = []
-    alphas: list[float] = []
-    betas: list[float] = []
-    phis: list[float] = []
-    for i in range(n):
-        k2 = (i + (n + 1) // 2) % n
-        alphas.append(angle_at(verts[i], verts[(i + 1) % n], feet[i]))
-        betas.append(angle_at(verts[i], feet[i], verts[k2]))
-        try:
-            o = arc_intersection(Arc(verts[i], feet[i]), Arc(verts[k2], feet[k2]))
-            phis.append(angle_at(o, verts[i], feet[k2]))
-        except (NoIntersection, CoplanarArcs, DegenerateArc, DegenerateAngle):
-            o = None
-            phis.append(math.nan)
-        crossings.append(o)
+    # Spoke poles q_i and the unit tangent at v_j along its side.
+    X = _cross_rows(np.vstack([V, P]), np.vstack([F, V[j]]))
+    Q = X[:n] / np.linalg.norm(X[:n], axis=1, keepdims=True)
+    S = X[n:]
+    # Crossing directions q_i x q_k, and the unit tangent at v_i along its spoke.
+    Y = _cross_rows(np.vstack([Q, Q]), np.vstack([Q[k], V]))
+    C, T = Y[:n], Y[n:]
 
-    thickness = min(dists)
-    spread = max(dists) - thickness
-    if not all(interior):
+    # Tangents at v_i toward v_{i+1}, t_i and v_k, as in sphere_core.angle_at.
+    # The vertical angle at a crossing, between its rays toward v_i and t_k,
+    # is the angle between q_i and -q_k whichever sign the crossing takes.
+    nxt = np.roll(V, -1, axis=0)
+    t_next = nxt - _dots(V, nxt)[:, None] * V
+    t_foot = F - vf[:, None] * V
+    t_far = V[k] - vk[:, None] * V
+    ang = _angles(np.vstack([V, V[j], t_next, t_foot, Q]),
+                  np.vstack([F, V[k], t_foot, t_far, -Q[k]]))
+    dist, side, alpha, beta, phi = ang.reshape(5, n)
+
+    theta = _arc_parameter(F, V[j], S)
+    interior = (EDGE_EPS * side < theta) & (theta < (1.0 - EDGE_EPS) * side)
+
+    c_norm = np.linalg.norm(C, axis=1)
+    crosses = c_norm >= 1e-12
+    O = C / np.where(crosses, c_norm, 1.0)[:, None]
+    slack = 0.5 * ON_ARC_TOL
+
+    def on_both_spokes(cand: np.ndarray) -> np.ndarray:
+        s_i = _arc_parameter(cand, V, T)
+        s_k = _arc_parameter(cand, V[k], T[k])
+        return ((-slack <= s_i) & (s_i <= dist + slack)
+                & (-slack <= s_k) & (s_k <= dist[k] + slack))
+
+    plus = on_both_spokes(O)
+    minus = on_both_spokes(-O) & ~plus
+    O = np.where(minus[:, None], -O, O)
+    crosses &= plus | minus
+    # As in angle_at, a crossing on v_i or t_k leaves its vertical angle undefined.
+    crosses &= (np.abs(_dots(O, V)) < 1.0 - SEPARATION_TOL) & (
+        np.abs(_dots(O, F[k])) < 1.0 - SEPARATION_TOL)
+    phi = np.where(crosses, phi, math.nan)
+
+    thickness = float(np.min(dist))
+    spread = float(np.max(dist)) - thickness
+    all_interior = bool(np.all(interior))
+    if not all_interior:
         reason = "projection foot outside the open side interior"
     elif spread > tol:
         reason = f"distance spread {spread:.3e} exceeds tolerance {tol:.1e}"
     else:
         reason = None
     return ReducedWitness(
-        feet=tuple(feet),
-        foot_distances=tuple(dists),
-        foot_interior=tuple(interior),
-        crossings=tuple(crossings),
-        edge_foot_angles=tuple(alphas),
-        foot_diagonal_angles=tuple(betas),
-        crossing_angles=tuple(phis),
+        feet=tuple(SpherePoint(*f) for f in F.tolist()),
+        foot_distances=tuple(dist.tolist()),
+        foot_interior=tuple(interior.tolist()),
+        crossings=tuple(SpherePoint(*o) if ok else None
+                        for o, ok in zip(O.tolist(), crosses.tolist())),
+        edge_foot_angles=tuple(alpha.tolist()),
+        foot_diagonal_angles=tuple(beta.tolist()),
+        crossing_angles=tuple(phi.tolist()),
         thickness=thickness,
-        is_reduced=all(interior) and spread <= tol,
+        is_reduced=all_interior and spread <= tol,
         max_residual=spread,
         reason=reason,
     )

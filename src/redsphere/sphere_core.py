@@ -1,13 +1,11 @@
 """Floating-point geometry kernel on the unit sphere.
 
-Points, great circles, arcs, lunes, and a right-spherical-triangle solver.
-All lengths and angles are radians in 64-bit floats.  Distances and angles
-are taken as atan2 of a cross-product norm over a dot product, so they keep
-full precision for short arcs and small angles, where acos of a dot product
-near 1 loses about eps/sqrt(2(1 - dot)).  The remaining inverse-trig
-arguments (asin, and acos in the triangle solver) are clamped to [-1, 1] at
-every call site so roundoff never produces NaN; genuinely degenerate
-configurations raise instead.
+Points, great circles and arcs, with distance, angle, projection and
+intersection primitives.  All lengths and angles are radians in 64-bit
+floats.  Distances and angles are taken as atan2 of a cross-product norm
+over a dot product, so they keep full precision for short arcs and small
+angles, where acos of a dot product near 1 loses about
+eps/sqrt(2(1 - dot)).  Degenerate configurations raise.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from .errors import (
     DegenerateArc,
     DegeneratePoint,
     DegenerateProjection,
-    InconsistentData,
     NoIntersection,
 )
 
@@ -31,32 +28,16 @@ __all__ = [
     "SpherePoint",
     "GreatCircle",
     "Arc",
-    "Lune",
-    "RightTriangle",
     "distance",
     "project_to_circle",
-    "point_circle_distance",
     "arc_intersection",
     "angle_at",
-    "solve_right_triangle",
-    "right_triangle_residuals",
 ]
 
 # |dot| above this bound means "coincident or antipodal" for unit vectors.
 SEPARATION_TOL = 1e-12
-# Derived identities are one order looser than raw construction accuracy.
-IDENTITY_TOL = 1e-10
 # Default slack when testing whether a point lies on a closed arc.
 ON_ARC_TOL = 1e-9
-
-
-def _clamp(t: float) -> float:
-    """Clamp an inverse-trig argument into [-1, 1]."""
-    if t > 1.0:
-        return 1.0
-    if t < -1.0:
-        return -1.0
-    return t
 
 
 def _cross(ax: float, ay: float, az: float,
@@ -69,6 +50,30 @@ def _angle(ax: float, ay: float, az: float,
     """Angle in [0, pi] between two nonzero vectors: atan2(|a x b|, a . b)."""
     return math.atan2(math.hypot(*_cross(ax, ay, az, bx, by, bz)),
                       ax * bx + ay * by + az * bz)
+
+
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _cross_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (m, 3) arrays.
+
+    Bit for bit np.cross, at a third of its fixed cost per call, which
+    dominates on the few rows of a polygon.  The result is C-ordered like
+    np.cross's, since reductions over it round differently in F order.
+    """
+    return np.subtract(A[:, _NEXT] * B[:, _PREV], A[:, _PREV] * B[:, _NEXT], order="C")
+
+
+def _angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise `_angle` of two (m, 3) arrays of nonzero rows.
+
+    Each call has a fixed cost of some microseconds, so callers stack every
+    angle of one computation into a single call.
+    """
+    return np.arctan2(np.linalg.norm(_cross_rows(A, B), axis=1),
+                      np.einsum("ij,ij->i", A, B))
 
 
 @dataclass(frozen=True)
@@ -137,9 +142,6 @@ class GreatCircle:
             raise DegenerateArc("points coincident or antipodal; circle not unique")
         return cls(a.cross(b))
 
-    def contains(self, p: SpherePoint, tol: float = ON_ARC_TOL) -> bool:
-        return abs(math.asin(_clamp(p.dot(self.pole)))) <= tol
-
 
 def project_to_circle(p: SpherePoint, circle: GreatCircle) -> SpherePoint:
     """Nearest point of the great circle to p.
@@ -152,11 +154,6 @@ def project_to_circle(p: SpherePoint, circle: GreatCircle) -> SpherePoint:
         raise DegenerateProjection("point coincides with a circle pole")
     v = p.vec - d * circle.pole.vec
     return SpherePoint.from_vec(v)
-
-
-def point_circle_distance(p: SpherePoint, circle: GreatCircle) -> float:
-    """Distance from p to the great circle, in [0, pi/2]."""
-    return abs(0.5 * math.pi - distance(p, circle.pole))
 
 
 @dataclass(frozen=True)
@@ -177,10 +174,6 @@ class Arc:
     @property
     def circle(self) -> GreatCircle:
         return GreatCircle.through(self.a, self.b)
-
-    @property
-    def midpoint(self) -> SpherePoint:
-        return SpherePoint.from_vec(self.a.vec + self.b.vec)
 
     def contains(self, p: SpherePoint, tol: float = ON_ARC_TOL) -> bool:
         """True when p lies on the closed arc (within tol, radians)."""
@@ -222,152 +215,3 @@ def angle_at(vertex: SpherePoint, p: SpherePoint, q: SpherePoint) -> float:
             raise DegenerateAngle("ray endpoint coincident or antipodal with vertex")
         tangents.append((r.x - d * vertex.x, r.y - d * vertex.y, r.z - d * vertex.z))
     return _angle(*tangents[0], *tangents[1])
-
-
-@dataclass(frozen=True)
-class Lune:
-    """Intersection of two hemispheres, stored as their poles."""
-
-    pole_a: SpherePoint
-    pole_b: SpherePoint
-
-    def __post_init__(self) -> None:
-        if abs(self.pole_a.dot(self.pole_b)) >= 1.0 - SEPARATION_TOL:
-            raise DegenerateArc("hemisphere poles coincident or antipodal")
-
-    @property
-    def thickness(self) -> float:
-        """Distance between the midpoints of the two boundary arcs.
-
-        Equals pi minus the angle between the poles; always in (0, pi).
-        """
-        return math.pi - distance(self.pole_a, self.pole_b)
-
-    def boundary_midpoints(self) -> tuple[SpherePoint, SpherePoint]:
-        """Midpoint of each boundary arc (deepest point inside the other hemisphere)."""
-        d = self.pole_a.dot(self.pole_b)
-        m_a = SpherePoint.from_vec(self.pole_b.vec - d * self.pole_a.vec)
-        m_b = SpherePoint.from_vec(self.pole_a.vec - d * self.pole_b.vec)
-        return m_a, m_b
-
-    def contains(self, p: SpherePoint, tol: float = 0.0) -> bool:
-        return p.dot(self.pole_a) >= -tol and p.dot(self.pole_b) >= -tol
-
-
-@dataclass(frozen=True)
-class RightTriangle:
-    """Right spherical triangle: legs a, b, hypotenuse c, angles A, B.
-
-    A is opposite leg a, B opposite leg b, and the right angle sits
-    opposite c.  All five quantities live in (0, pi); construction checks
-    cos c = cos a cos b to 1e-10.
-    """
-
-    a: float
-    b: float
-    c: float
-    A: float
-    B: float
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "A", "B"):
-            v = getattr(self, name)
-            if not 0.0 < v < math.pi:
-                raise InconsistentData(f"{name}={v!r} outside (0, pi)")
-        if abs(math.cos(self.c) - math.cos(self.a) * math.cos(self.b)) > IDENTITY_TOL:
-            raise InconsistentData("hypotenuse inconsistent with legs")
-
-
-def right_triangle_residuals(t: RightTriangle) -> tuple[float, ...]:
-    """Residuals of the six product identities of a right spherical triangle.
-
-    In order: cos A = tan b cot c, cos B = tan a cot c, sin b = sin c sin B,
-    cos c = cos a cos b, cos c = cot A cot B, cos B = cos b sin A.
-    """
-    a, b, c, A, B = t.a, t.b, t.c, t.A, t.B
-    return (
-        math.cos(A) - math.tan(b) / math.tan(c),
-        math.cos(B) - math.tan(a) / math.tan(c),
-        math.sin(b) - math.sin(c) * math.sin(B),
-        math.cos(c) - math.cos(a) * math.cos(b),
-        math.cos(c) - (math.cos(A) * math.cos(B)) / (math.sin(A) * math.sin(B)),
-        math.cos(B) - math.cos(b) * math.sin(A),
-    )
-
-
-def _acos(t: float) -> float:
-    return math.acos(_clamp(t))
-
-
-def _asin(t: float) -> float:
-    return math.asin(_clamp(t))
-
-
-def solve_right_triangle(
-    *,
-    a: float | None = None,
-    b: float | None = None,
-    c: float | None = None,
-    A: float | None = None,
-    B: float | None = None,
-) -> RightTriangle:
-    """Solve a right spherical triangle from exactly two of {a, b, c, A, B}.
-
-    Restricted to triangles with legs in (0, pi/2); every quantity of such
-    a triangle, the hypotenuse and both angles included, then lies in
-    (0, pi/2) as well.  Raises InconsistentData when the two inputs admit
-    no such triangle (e.g. a >= c, a >= A, or A + B <= pi/2).
-    """
-    given = {k: v for k, v in dict(a=a, b=b, c=c, A=A, B=B).items() if v is not None}
-    if len(given) != 2:
-        raise ValueError(f"need exactly two known quantities, got {sorted(given)}")
-    for k, v in given.items():
-        if not 0.0 < v < 0.5 * math.pi:
-            raise InconsistentData(f"{k}={v!r} outside (0, pi/2)")
-
-    keys = frozenset(given)
-    # Mirror symmetry: swapping a<->b and A<->B maps each case to its twin.
-    if keys in (frozenset("bc"), frozenset({"b", "B"}), frozenset({"b", "A"}), frozenset({"c", "B"})):
-        sw = solve_right_triangle(a=b, b=a, c=c, A=B, B=A)
-        return RightTriangle(a=sw.b, b=sw.a, c=sw.c, A=sw.B, B=sw.A)
-
-    if keys == frozenset("ab"):
-        c = _acos(math.cos(a) * math.cos(b))
-        A = math.atan2(math.tan(a), math.sin(b))
-        B = math.atan2(math.tan(b), math.sin(a))
-    elif keys == frozenset("ac"):
-        if a >= c:
-            raise InconsistentData("leg must be shorter than hypotenuse")
-        b = _acos(math.cos(c) / math.cos(a))
-        A = _asin(math.sin(a) / math.sin(c))
-        B = _acos(math.tan(a) / math.tan(c))
-    elif keys == frozenset({"a", "A"}):
-        if a >= A:
-            raise InconsistentData("a leg is strictly smaller than its opposite angle")
-        b = _asin(math.tan(a) / math.tan(A))
-        c = _asin(math.sin(a) / math.sin(A))
-        B = _asin(math.cos(A) / math.cos(a))
-    elif keys == frozenset({"a", "B"}):
-        c = math.atan2(math.tan(a), math.cos(B))
-        b = _asin(math.sin(c) * math.sin(B))
-        A = _acos(math.cos(a) * math.sin(B))
-    elif keys == frozenset({"c", "A"}):
-        b = math.atan(math.tan(c) * math.cos(A))
-        a = _asin(math.sin(c) * math.sin(A))
-        B = _acos(math.cos(b) * math.sin(A))
-    elif keys == frozenset({"A", "B"}):
-        if A + B <= 0.5 * math.pi:
-            raise InconsistentData("angles of a right spherical triangle exceed pi/2 in sum")
-        c = _acos((math.cos(A) * math.cos(B)) / (math.sin(A) * math.sin(B)))
-        a = _acos(math.cos(A) / math.sin(B))
-        b = _acos(math.cos(B) / math.sin(A))
-    else:  # pragma: no cover - all ten pairs handled above
-        raise ValueError(f"unsupported combination {sorted(keys)}")
-
-    for name, v in dict(a=a, b=b, c=c, A=A, B=B).items():
-        if not 0.0 < v < 0.5 * math.pi:
-            raise InconsistentData(f"derived {name}={v!r} outside (0, pi/2)")
-    tri = RightTriangle(a=a, b=b, c=c, A=A, B=B)
-    if max(abs(r) for r in right_triangle_residuals(tri)) > IDENTITY_TOL:
-        raise InconsistentData("inputs admit no consistent right triangle")
-    return tri

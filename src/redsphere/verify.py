@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotConverged, RedsphereError
+from .errors import RedsphereError
 from .formulas import (
     arm_from_angle,
     arm_length,
@@ -67,12 +67,8 @@ __all__ = [
     "OMEGA_GRID",
     "LAMBDA_GRID",
     "TABLE1_REFERENCE",
-    "check_perimeter_min",
     "check_regular_monotonicity",
-    "check_diameter",
     "check_bound_gap",
-    "check_circumradius",
-    "check_jung",
     "check_scalar_lemmas",
     "reproduce_table1",
     "table1_reports",
@@ -157,77 +153,45 @@ def _report(claim_id: str, inputs: str, measured: float, bound: float,
     )
 
 
-def _require_converged(sample: SampleResult) -> None:
-    if not sample.converged or sample.polygon is None or sample.witness is None:
-        raise NotConverged(sample.failure_reason or "sample did not converge")
-
-
 def _sample_tag(sample: SampleResult) -> str:
     c = sample.config
     return f"n={c.n} thickness={c.thickness:.9g} seed={c.seed}"
 
 
 # ---------------------------------------------------------------------------
-# Single-claim checks on one reduced polygon.
+# Theorem claims on measurements of one reduced polygon.
 
 
-def check_perimeter_min(sample: SampleResult) -> VerificationReport:
+def _jung_floor(radius: float) -> float:
+    """Two-point Jung floor 2 arcsin(sqrt(3)/2 sin r) on the diameter."""
+    return 2.0 * math.asin(min(1.0, 0.5 * math.sqrt(3.0) * math.sin(radius)))
+
+
+def _perimeter_min(perimeter: float, n: int, thickness: float, tag: str) -> VerificationReport:
     """Perimeter of a reduced polygon >= perimeter of the regular one."""
-    _require_converged(sample)
-    c = sample.config
-    assert sample.polygon is not None
-    return _perimeter_min(sample.polygon, c.thickness, _sample_tag(sample))
+    bound = regular_metrics(n, thickness).perimeter
+    return _report("perimeter-min", tag, perimeter, bound, TOL_FORMULA, "ge")
 
 
-def _perimeter_min(P: SphericalPolygon, thickness: float, tag: str) -> VerificationReport:
-    bound = regular_metrics(P.n, thickness).perimeter
-    return _report("perimeter-min", tag, P.perimeter(), bound, TOL_FORMULA, "ge")
-
-
-def check_diameter(sample: SampleResult) -> VerificationReport:
+def _diameter(diameter: float, thickness: float, tag: str) -> VerificationReport:
     """Diameter <= sharp bound; the coarse-bound slack is noted in inputs."""
-    _require_converged(sample)
-    c = sample.config
-    assert sample.polygon is not None
-    return _diameter(sample.polygon, c.thickness, _sample_tag(sample))
-
-
-def _diameter(P: SphericalPolygon, thickness: float, tag: str) -> VerificationReport:
     gap = diameter_bound_coarse(thickness) - diameter_bound(thickness)
     tag = f"{tag} coarse_gap={gap:.9g}"
-    return _report("diameter-bound", tag, P.diameter(reduced_hint=True),
+    return _report("diameter-bound", tag, diameter,
                    diameter_bound(thickness), TOL_FORMULA, "le")
 
 
-def check_circumradius(sample: SampleResult) -> VerificationReport:
+def _circumradius(radius: float, diameter: float, thickness: float,
+                  tag: str) -> VerificationReport:
     """Smallest enclosing cap radius <= the covering bound."""
-    _require_converged(sample)
-    c = sample.config
-    assert sample.polygon is not None
-    return _circumradius(sample.polygon, c.thickness, _sample_tag(sample))
-
-
-def _circumradius(P: SphericalPolygon, thickness: float, tag: str) -> VerificationReport:
-    cap = P.circumcap()
-    jung = P.diameter(reduced_hint=True) - 2.0 * math.asin(
-        min(1.0, 0.5 * math.sqrt(3.0) * math.sin(cap.radius)))
-    tag = f"{tag} jung_slack={jung:.9g}"
-    return _report("circumradius-bound", tag, cap.radius,
+    tag = f"{tag} jung_slack={diameter - _jung_floor(radius):.9g}"
+    return _report("circumradius-bound", tag, radius,
                    covering_radius_bound(thickness), TOL_CAP, "le")
 
 
-def check_jung(sample: SampleResult) -> VerificationReport:
+def _jung(diameter: float, radius: float, tag: str) -> VerificationReport:
     """Two-point Jung relation: diameter >= 2 arcsin(sqrt(3)/2 sin r)."""
-    _require_converged(sample)
-    assert sample.polygon is not None
-    return _jung(sample.polygon, _sample_tag(sample))
-
-
-def _jung(P: SphericalPolygon, tag: str) -> VerificationReport:
-    r = P.circumcap().radius
-    bound = 2.0 * math.asin(min(1.0, 0.5 * math.sqrt(3.0) * math.sin(r)))
-    return _report("jung-relation", tag, P.diameter(reduced_hint=True),
-                   bound, TOL_FORMULA, "ge")
+    return _report("jung-relation", tag, diameter, _jung_floor(radius), TOL_FORMULA, "ge")
 
 
 def check_bound_gap(thickness: float) -> VerificationReport:
@@ -305,16 +269,19 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
     n = P.n
     g = regular_triangle_half_angle(thickness)
     lam = math.tan(thickness)
+    perimeter = P.perimeter()
+    diameter = P.diameter(reduced_hint=True)
+    radius = P.circumcap().radius
     out = [
-        _perimeter_min(P, thickness, tag),
-        _diameter(P, thickness, tag),
-        _circumradius(P, thickness, tag),
-        _jung(P, tag),
+        _perimeter_min(perimeter, n, thickness, tag),
+        _diameter(diameter, thickness, tag),
+        _circumradius(radius, diameter, thickness, tag),
+        _jung(diameter, radius, tag),
         _report("thickness-agreement", tag,
                 abs(P.thickness() - witness.thickness), 0.0, 1e-9, "le"),
         _report("thickness-range", tag, witness.thickness, 0.5 * math.pi, 1e-10, "le"),
         _report("diameter-pair-restriction", tag,
-                abs(P.diameter(reduced_hint=True) - P.diameter()), 0.0, 1e-12, "le"),
+                abs(diameter - P.diameter()), 0.0, 1e-12, "le"),
         _report("angle-sandwich-lower", tag,
                 max(witness.foot_diagonal_angles), g, TOL_FORMULA, "le"),
         _report("angle-sandwich-upper", tag,
@@ -353,7 +320,7 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
             assert o is not None
             arms += arm_length(math.tan(distance(o, foot)), lam)
         out.append(_report("perimeter-witness-identity", tag,
-                           P.perimeter(), 2.0 * arms, TOL_FORMULA, "eq"))
+                           perimeter, 2.0 * arms, TOL_FORMULA, "eq"))
         mean_phi = sum(phis) / n
         out.append(_report("perimeter-jensen", tag,
                            2.0 * sum(arm_from_angle(p, lam) for p in phis),

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from redsphere import (
     DomainError,
     RegularMetrics,
-    ThicknessParams,
     arm_from_angle,
     arm_length,
     covering_radius_bound,
@@ -70,11 +69,6 @@ class TestTriangleHalfAngle:
         grid = [1e-4 + k * (0.5 * math.pi - 2e-4) / 400 for k in range(401)]
         values = [regular_triangle_half_angle(w) for w in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_params_bundle(self):
-        p = ThicknessParams.from_thickness(QUARTER_PI)
-        assert p.tan_thickness == pytest.approx(1.0, abs=1e-15)
-        assert math.pi / 6 < p.triangle_half_angle < math.pi / 4
 
 
 class TestArmLength:

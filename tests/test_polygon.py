@@ -2,19 +2,31 @@
 
 import json
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
 
+from test_sphere_core import Lune
+
 from redsphere import (
+    OMEGA_GRID,
+    Arc,
+    CoplanarArcs,
+    DegenerateAngle,
+    DegenerateArc,
     DomainError,
-    Lune,
+    GreatCircle,
+    NoIntersection,
     NotConvex,
     NotInHemisphere,
     PolygonDocumentError,
+    ReducedWitness,
     SamplerConfig,
     SpherePoint,
     SphericalPolygon,
+    angle_at,
+    arc_intersection,
     build_regular,
     diameter_bound,
     distance,
@@ -22,17 +34,98 @@ from redsphere import (
     opposite_side,
     polygon_from_doc,
     polygon_to_doc,
+    project_to_circle,
     reduced_check,
     regular_metrics,
     sample_reduced,
     save_polygon,
 )
+from redsphere.polygon import EDGE_EPS, REDUCED_TOL
 
 QUARTER_PI = 0.25 * math.pi
 
 
 def _ring(colat, lons):
     return [SpherePoint.from_spherical(colat, lon) for lon in lons]
+
+
+# The per-vertex reduced_check built on the sphere_core objects, kept as the
+# oracle of the array implementation in redsphere.polygon.
+def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL) -> ReducedWitness:
+    """Decide reducedness and collect the per-vertex witness data.
+
+    A polygon passes iff its vertex count is odd, every projection foot is
+    strictly interior to its side, and the spread of the
+    vertex-to-opposite-side distances stays within tol.
+    """
+    n = polygon.n
+    if n % 2 == 0:
+        return ReducedWitness(
+            feet=(),
+            foot_distances=(),
+            foot_interior=(),
+            crossings=(),
+            edge_foot_angles=(),
+            foot_diagonal_angles=(),
+            crossing_angles=(),
+            thickness=polygon.thickness(),
+            is_reduced=False,
+            max_residual=math.nan,
+            reason=f"not an odd-gon: n={n}",
+        )
+
+    verts = polygon.vertices
+    feet: list[SpherePoint] = []
+    dists: list[float] = []
+    interior: list[bool] = []
+    for i in range(n):
+        j, k = opposite_side(i, n)
+        circle = GreatCircle.through(verts[j], verts[k])
+        foot = project_to_circle(verts[i], circle)
+        feet.append(foot)
+        dists.append(distance(verts[i], foot))
+        side = Arc(verts[j], verts[k])
+        on_segment = side.contains(foot, tol=EDGE_EPS)
+        u = side.parameter(foot)
+        interior.append(on_segment and EDGE_EPS < u < 1.0 - EDGE_EPS)
+
+    crossings: list[Optional[SpherePoint]] = []
+    alphas: list[float] = []
+    betas: list[float] = []
+    phis: list[float] = []
+    for i in range(n):
+        k2 = (i + (n + 1) // 2) % n
+        alphas.append(angle_at(verts[i], verts[(i + 1) % n], feet[i]))
+        betas.append(angle_at(verts[i], feet[i], verts[k2]))
+        try:
+            o = arc_intersection(Arc(verts[i], feet[i]), Arc(verts[k2], feet[k2]))
+            phis.append(angle_at(o, verts[i], feet[k2]))
+        except (NoIntersection, CoplanarArcs, DegenerateArc, DegenerateAngle):
+            o = None
+            phis.append(math.nan)
+        crossings.append(o)
+
+    thickness = min(dists)
+    spread = max(dists) - thickness
+    if not all(interior):
+        reason = "projection foot outside the open side interior"
+    elif spread > tol:
+        reason = f"distance spread {spread:.3e} exceeds tolerance {tol:.1e}"
+    else:
+        reason = None
+    return ReducedWitness(
+        feet=tuple(feet),
+        foot_distances=tuple(dists),
+        foot_interior=tuple(interior),
+        crossings=tuple(crossings),
+        edge_foot_angles=tuple(alphas),
+        foot_diagonal_angles=tuple(betas),
+        crossing_angles=tuple(phis),
+        thickness=thickness,
+        is_reduced=all(interior) and spread <= tol,
+        max_residual=spread,
+        reason=reason,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +248,26 @@ class TestReducedCheck:
         w = reduced_check(crooked_heptagon)
         assert crooked_heptagon.thickness() == pytest.approx(w.thickness, abs=1e-9)
 
+    def test_matches_object_reference(self, sample_grid):
+        polygons = [s.polygon for batch in sample_grid.cells.values()
+                    for s in batch if s.polygon is not None]
+        polygons += [build_regular(n, w) for n in (3, 5, 7, 9, 21) for w in OMEGA_GRID]
+        for P in polygons:
+            got, want = reduced_check(P), reference_reduced_check(P)
+            assert (got.is_reduced, got.reason, got.foot_interior) == (
+                want.is_reduced, want.reason, want.foot_interior)
+            assert ([o is None for o in got.crossings]
+                    == [o is None for o in want.crossings])
+            np.testing.assert_allclose(_witness_values(got), _witness_values(want),
+                                       rtol=0.0, atol=1e-12)
+
+
+def _witness_values(w):
+    points = [c for p in w.feet + w.crossings if p is not None for c in (p.x, p.y, p.z)]
+    return np.array(points + list(w.foot_distances + w.edge_foot_angles
+                                  + w.foot_diagonal_angles + w.crossing_angles)
+                    + [w.thickness, w.max_residual])
+
 
 class TestThickness:
     def test_regular_polygons_measure_their_thickness(self):
@@ -217,6 +330,14 @@ class TestPerimeter:
             P = build_regular(n, math.pi / 6)
             assert P.perimeter() == pytest.approx(
                 regular_metrics(n, math.pi / 6).perimeter, abs=1e-12)
+
+    def test_short_side_keeps_full_precision(self):
+        # acos of the vertex dot product errs by about 2e-11 on a 2e-6 side.
+        verts = [SpherePoint.from_spherical(0.5, 0.0),
+                 SpherePoint.from_spherical(0.5, 2e-6 / math.sin(0.5)),
+                 SpherePoint(0.0, 0.0, 1.0)]
+        sides = sum(distance(verts[i], verts[(i + 1) % 3]) for i in range(3))
+        assert abs(SphericalPolygon(verts).perimeter() - sides) < 1e-15
 
 
 class TestDiameter:

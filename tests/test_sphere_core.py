@@ -1,7 +1,7 @@
-"""Kernel geometry: distances, projections, intersections, triangle solver."""
+"""Kernel geometry: distances, projections, intersections, and the lune oracle."""
 
-import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,19 +16,14 @@ from redsphere import (
     DegeneratePoint,
     DegenerateProjection,
     GreatCircle,
-    InconsistentData,
-    Lune,
     NoIntersection,
-    RightTriangle,
     SpherePoint,
     angle_at,
     arc_intersection,
     distance,
-    point_circle_distance,
     project_to_circle,
-    right_triangle_residuals,
-    solve_right_triangle,
 )
+from redsphere.sphere_core import SEPARATION_TOL
 
 EX = SpherePoint(1.0, 0.0, 0.0)
 EY = SpherePoint(0.0, 1.0, 0.0)
@@ -143,12 +138,12 @@ class TestProjection:
         assume(abs(p.dot(pole)) < 1.0 - 1e-6)
         circle = GreatCircle(pole)
         t = project_to_circle(p, circle)
-        assert abs(point_circle_distance(p, circle) - distance(p, t)) < 1e-10
+        assert abs(abs(0.5 * math.pi - distance(p, circle.pole)) - distance(p, t)) < 1e-10
 
     def test_circle_distance_trivials(self):
         c = GreatCircle(EZ)
-        assert point_circle_distance(EX, c) == pytest.approx(0.0)
-        assert point_circle_distance(EZ, c) == pytest.approx(0.5 * math.pi)
+        assert abs(0.5 * math.pi - distance(EX, c.pole)) == pytest.approx(0.0)
+        assert abs(0.5 * math.pi - distance(EZ, c.pole)) == pytest.approx(0.5 * math.pi)
 
 
 class TestArcIntersection:
@@ -244,6 +239,39 @@ class TestAngleAt:
             checked += 1
 
 
+@dataclass(frozen=True)
+class Lune:
+    """Intersection of two hemispheres, stored as their poles.
+
+    The thickness oracle of test_polygon's explicit-lune test.
+    """
+
+    pole_a: SpherePoint
+    pole_b: SpherePoint
+
+    def __post_init__(self) -> None:
+        if abs(self.pole_a.dot(self.pole_b)) >= 1.0 - SEPARATION_TOL:
+            raise DegenerateArc("hemisphere poles coincident or antipodal")
+
+    @property
+    def thickness(self) -> float:
+        """Distance between the midpoints of the two boundary arcs.
+
+        Equals pi minus the angle between the poles; always in (0, pi).
+        """
+        return math.pi - distance(self.pole_a, self.pole_b)
+
+    def boundary_midpoints(self) -> tuple[SpherePoint, SpherePoint]:
+        """Midpoint of each boundary arc (deepest point inside the other hemisphere)."""
+        d = self.pole_a.dot(self.pole_b)
+        m_a = SpherePoint.from_vec(self.pole_b.vec - d * self.pole_a.vec)
+        m_b = SpherePoint.from_vec(self.pole_a.vec - d * self.pole_b.vec)
+        return m_a, m_b
+
+    def contains(self, p: SpherePoint, tol: float = 0.0) -> bool:
+        return p.dot(self.pole_a) >= -tol and p.dot(self.pole_b) >= -tol
+
+
 class TestLune:
     def test_thickness_is_pi_minus_pole_angle(self):
         rng = np.random.default_rng(5)
@@ -268,83 +296,3 @@ class TestLune:
     def test_coincident_poles_rejected(self):
         with pytest.raises(DegenerateArc):
             Lune(EZ, EZ)
-
-
-def _geometric_right_triangle(a, b):
-    """Right angle at the north pole, legs laid along two meridians."""
-    vert_b = SpherePoint(math.sin(a), 0.0, math.cos(a))
-    vert_a = SpherePoint(0.0, math.sin(b), math.cos(b))
-    c = distance(vert_a, vert_b)
-    ang_a = angle_at(vert_a, EZ, vert_b)
-    ang_b = angle_at(vert_b, EZ, vert_a)
-    return RightTriangle(a=a, b=b, c=c, A=ang_a, B=ang_b)
-
-
-class TestRightTriangle:
-    def test_constructor_rejects_inconsistent_hypotenuse(self):
-        with pytest.raises(InconsistentData):
-            RightTriangle(a=0.5, b=0.5, c=1.2, A=0.8, B=0.8)
-
-    def test_geometric_construction_satisfies_identities(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            a = rng.uniform(0.1, 0.5 * math.pi - 0.1)
-            b = rng.uniform(0.1, 0.5 * math.pi - 0.1)
-            tri = _geometric_right_triangle(a, b)
-            assert max(abs(r) for r in right_triangle_residuals(tri)) < 1e-10
-
-    def test_solver_matches_geometric_construction(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            a = rng.uniform(0.1, 0.5 * math.pi - 0.1)
-            b = rng.uniform(0.1, 0.5 * math.pi - 0.1)
-            tri = _geometric_right_triangle(a, b)
-            solved = solve_right_triangle(a=a, b=b)
-            for f in ("a", "b", "c", "A", "B"):
-                assert getattr(solved, f) == pytest.approx(getattr(tri, f), abs=1e-10)
-
-    def test_all_ten_input_pairs_round_trip(self):
-        rng = np.random.default_rng(13)
-        fields = ("a", "b", "c", "A", "B")
-        for _ in range(40):
-            legs = rng.uniform(0.1, 0.5 * math.pi - 0.1, size=2)
-            truth = solve_right_triangle(a=float(legs[0]), b=float(legs[1]))
-            for pair in itertools.combinations(fields, 2):
-                got = solve_right_triangle(**{k: getattr(truth, k) for k in pair})
-                for f in fields:
-                    assert getattr(got, f) == pytest.approx(getattr(truth, f), abs=1e-10)
-
-    def test_equal_legs_give_equal_angles(self):
-        tri = solve_right_triangle(a=0.6, b=0.6)
-        assert tri.A == pytest.approx(tri.B, abs=1e-14)
-        assert math.cos(tri.c) == pytest.approx(math.cos(0.6) ** 2, abs=1e-14)
-
-    def test_hypotenuse_from_leg_and_opposite_angle_chain(self):
-        truth = solve_right_triangle(a=0.8, b=0.55)
-        via_chain = solve_right_triangle(a=truth.a, B=truth.B)
-        assert via_chain.c == pytest.approx(truth.c, abs=1e-10)
-        assert math.cos(via_chain.A) == pytest.approx(
-            math.tan(via_chain.b) / math.tan(via_chain.c), abs=1e-10)
-
-    def test_regular_triangle_doubled_leg_case(self):
-        # Isoceles bisection: leg b, hypotenuse twice the other leg, so
-        # cos 2a = cos b cos a; the positive root fixes cos a.
-        for b in (0.3, 0.6, 1.0):
-            cos_a = (math.cos(b) + math.sqrt(math.cos(b) ** 2 + 8.0)) / 4.0
-            a = math.acos(cos_a)
-            tri = solve_right_triangle(a=a, b=b)
-            assert tri.c == pytest.approx(2.0 * a, abs=1e-12)
-
-    def test_inconsistent_inputs_rejected(self):
-        with pytest.raises(InconsistentData):
-            solve_right_triangle(a=1.0, c=0.5)  # leg beyond hypotenuse
-        with pytest.raises(InconsistentData):
-            solve_right_triangle(a=1.0, A=0.5)  # leg beyond opposite angle
-        with pytest.raises(InconsistentData):
-            solve_right_triangle(A=0.5, B=0.5)  # angle sum too small
-        with pytest.raises(InconsistentData):
-            solve_right_triangle(a=2.0, b=0.5)  # outside (0, pi/2)
-        with pytest.raises(ValueError):
-            solve_right_triangle(a=0.5)
-        with pytest.raises(ValueError):
-            solve_right_triangle(a=0.5, b=0.5, c=0.7)

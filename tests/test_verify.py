@@ -6,17 +6,12 @@ import math
 import pytest
 
 from redsphere import (
-    NotConverged,
     SamplerConfig,
     SampleResult,
     SpherePoint,
     SphericalPolygon,
     build_regular,
     check_bound_gap,
-    check_circumradius,
-    check_diameter,
-    check_jung,
-    check_perimeter_min,
     check_regular_monotonicity,
     check_scalar_lemmas,
     full_suite,
@@ -108,28 +103,6 @@ class TestFormulaChecks:
     def test_scalar_lemmas_grid_floor(self):
         with pytest.raises(ValueError):
             check_scalar_lemmas(points=50)
-
-
-class TestSampleChecks:
-    def test_perimeter_minimality(self, crooked_sample, regular_sample):
-        assert check_perimeter_min(crooked_sample).passed
-        rep = check_perimeter_min(regular_sample)
-        assert rep.passed and rep.equality
-
-    def test_diameter_bound(self, crooked_sample):
-        rep = check_diameter(crooked_sample)
-        assert rep.passed
-        assert rep.measured <= rep.bound + 1e-8
-
-    def test_circumradius_and_jung(self, crooked_sample):
-        assert check_circumradius(crooked_sample).passed
-        assert check_jung(crooked_sample).passed
-
-    def test_unconverged_input_refused(self, rejected_sample):
-        for check in (check_perimeter_min, check_diameter,
-                      check_circumradius, check_jung):
-            with pytest.raises(NotConverged):
-                check(rejected_sample)
 
 
 class TestPolygonReports:
