@@ -49,7 +49,6 @@ from .polygon import (
     SphericalPolygon,
     build_regular,
     load_polygon,
-    opposite_side,
     polygon_from_doc,
     polygon_to_doc,
     reduced_check,
@@ -91,7 +90,7 @@ __all__ = [
     "regular_metrics", "covering_radius_bound", "diameter_bound",
     "diameter_bound_coarse",
     # polygons
-    "SphericalPolygon", "Cap", "ReducedWitness", "opposite_side",
+    "SphericalPolygon", "Cap", "ReducedWitness",
     "build_regular", "reduced_check", "polygon_to_doc", "polygon_from_doc",
     "load_polygon", "save_polygon",
     # sampling

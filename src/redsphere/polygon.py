@@ -35,7 +35,6 @@ __all__ = [
     "ReducedWitness",
     "Cap",
     "build_regular",
-    "opposite_side",
     "reduced_check",
     "edge_poles",
     "opposite_side_heights",
@@ -54,44 +53,35 @@ REDUCED_TOL = 1e-7
 _SIGN_EPS = 1e-12
 
 
-def opposite_side(i: int, n: int) -> tuple[int, int]:
-    """Indices of the side opposite vertex i in an odd n-gon.
-
-    Returns ((i + (n-1)/2) mod n, (i + (n+1)/2) mod n).  Composing the map
-    twice through the first index advances by n - 1, i.e. one step back.
-    """
-    if n % 2 == 0 or n < 3:
-        raise DomainError(f"opposite side undefined: n={n!r} is not odd >= 3")
-    if not 0 <= i < n:
-        raise DomainError(f"vertex index {i!r} outside range(0, {n})")
-    return ((i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n)
-
-
 def edge_poles(V: np.ndarray) -> np.ndarray:
     """Unit poles of the edge great circles v_i -> v_{i+1} (rows)."""
-    P = np.cross(V, np.roll(V, -1, axis=0))
+    P = _cross_rows(V, np.roll(V, -1, axis=0))
     return P / np.linalg.norm(P, axis=1, keepdims=True)
 
 
 def _opposite_poles(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices j, k of the side opposite each vertex and its unit pole v_j x v_k."""
-    n = V.shape[0]
+    """Indices j, k of the side opposite each vertex and its unit pole v_j x v_k.
+
+    The vertex axis of V is -2, so a (..., n, 3) stack gives (..., n, 3) poles.
+    """
+    n = V.shape[-2]
     i = np.arange(n)
     j = (i + (n - 1) // 2) % n
     k = (i + (n + 1) // 2) % n
-    P = _cross_rows(V[j], V[k])
-    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    P = _cross_rows(V[..., j, :], V[..., k, :])
+    P /= np.linalg.norm(P, axis=-1, keepdims=True)
     return j, k, P
 
 
 def opposite_side_heights(V: np.ndarray) -> np.ndarray:
     """Signed height of each vertex over its opposite side's great circle.
 
-    V is an (n, 3) array of unit rows in counterclockwise order, n odd.
-    Positive on the polygon's interior side.
+    V is an (n, 3) array of unit rows in counterclockwise order, n odd, or a
+    (..., n, 3) stack of them; each polygon of a stack gets the heights it
+    gets alone, bit for bit.  Positive on the polygon's interior side.
     """
     _, _, P = _opposite_poles(V)
-    return np.arcsin(np.clip(np.einsum("ij,ij->i", V, P), -1.0, 1.0))
+    return np.arcsin(np.clip(np.einsum("...ij,...ij->...i", V, P), -1.0, 1.0))
 
 
 class SphericalPolygon:
@@ -103,18 +93,20 @@ class SphericalPolygon:
             raise DomainError(f"need at least 3 vertices, got {len(verts)}")
         V = np.array([p.vec for p in verts])
         n = len(verts)
-        for i in range(n):
-            if abs(float(V[i] @ V[(i + 1) % n])) >= 1.0 - _SIGN_EPS:
-                raise NotConvex(f"vertices {i} and {(i + 1) % n} coincident or antipodal")
-        poles = edge_poles(V)
-        dots = V @ poles.T  # [vertex j, edge i]
-        for i in range(n):
-            others = [j for j in range(n) if j not in (i, (i + 1) % n)]
-            if not np.all(dots[others, i] > _SIGN_EPS):
-                raise NotConvex(
-                    "vertex on the wrong side of an edge circle "
-                    "(polygon non-convex or ordered clockwise)"
-                )
+        i = np.arange(n)
+        # Neighbour dots by matmul, which rounds like the 1-D dot product.
+        nxt_dots = (V[:, None, :] @ V[(i + 1) % n, :, None])[:, 0, 0]
+        touching = np.flatnonzero(np.abs(nxt_dots) >= 1.0 - _SIGN_EPS)
+        if touching.size:
+            first = int(touching[0])
+            raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
+        dots = V @ edge_poles(V).T  # [vertex j, edge i]
+        on_edge = (i[:, None] == i) | (i[:, None] == (i + 1) % n)
+        if not np.all((dots > _SIGN_EPS) | on_edge):
+            raise NotConvex(
+                "vertex on the wrong side of an edge circle "
+                "(polygon non-convex or ordered clockwise)"
+            )
         centroid = V.mean(axis=0)
         norm = float(np.linalg.norm(centroid))
         if norm < _SIGN_EPS or not np.all(V @ (centroid / norm) > _SIGN_EPS):

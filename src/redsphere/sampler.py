@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -119,24 +120,39 @@ class SampleResult:
 
 
 def _embed(params: np.ndarray, n: int, lon0: float) -> np.ndarray:
-    """Unit vertices from the packed (colat_0..colat_{n-1}, lon_1..lon_{n-1})."""
-    colat = params[:n]
-    lon = np.empty(n)
-    lon[0] = lon0
-    lon[1:] = params[n:]
+    """Unit vertices from packed (colat_0..colat_{n-1}, lon_1..lon_{n-1}) rows.
+
+    A (..., 2n - 1) stack of parameter rows gives a (..., n, 3) stack of
+    vertex arrays.
+    """
+    colat = params[..., :n]
+    lon = np.empty(colat.shape)
+    lon[..., 0] = lon0
+    lon[..., 1:] = params[..., n:]
     s = np.sin(colat)
-    return np.column_stack([s * np.cos(lon), s * np.sin(lon), np.cos(colat)])
+    return np.stack([s * np.cos(lon), s * np.sin(lon), np.cos(colat)], axis=-1)
 
 
-def _fd_jacobian(fun, params: np.ndarray, m: int) -> np.ndarray:
-    J = np.empty((m, params.size))
-    for j in range(params.size):
-        hi = params.copy()
-        hi[j] += _FD_STEP
-        lo = params.copy()
-        lo[j] -= _FD_STEP
-        J[:, j] = (fun(hi) - fun(lo)) / (2.0 * _FD_STEP)
-    return J
+def _full_residual(params: np.ndarray, n: int, lon0: float, w: float) -> np.ndarray:
+    """Heights minus w, then the centroid's x and y, for each parameter row."""
+    V = _embed(params, n, lon0)
+    r = np.empty(params.shape[:-1] + (n + 2,))
+    r[..., :n] = opposite_side_heights(V) - w
+    r[..., n:] = V.mean(axis=-2)[..., :2]
+    return r
+
+
+def _fd_jacobian(fun, params: np.ndarray) -> np.ndarray:
+    """Central differences of fun at params, all columns from one stacked call.
+
+    Row j of params + E (params - E) is params with entry j moved by
+    +_FD_STEP (-_FD_STEP), and fun works row by row, so the columns equal
+    those of differencing one column at a time, bit for bit.
+    """
+    p = params.size
+    E = _FD_STEP * np.eye(p)
+    R = fun(np.concatenate([params + E, params - E]))
+    return ((R[:p] - R[p:]) / (2.0 * _FD_STEP)).T
 
 
 def _damped_step(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
@@ -170,13 +186,7 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     lon0 = float(lon[0])
     params = np.concatenate([colat, lon[1:]])
 
-    def full_residual(p: np.ndarray) -> np.ndarray:
-        V = _embed(p, n, lon0)
-        r = np.empty(n + 2)
-        r[:n] = opposite_side_heights(V) - w
-        r[n:] = V.mean(axis=0)[:2]
-        return r
-
+    full_residual = partial(_full_residual, n=n, lon0=lon0, w=w)
     full = full_residual(params)
     history = [float(np.max(np.abs(full[:n])))]
     converged = history[-1] <= cfg.residual_tol
@@ -186,7 +196,7 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
 
     while not converged and iterations < cfg.max_iterations:
         iterations += 1
-        J = _fd_jacobian(full_residual, params, n + 2)
+        J = _fd_jacobian(full_residual, params)
         improved = False
         while mu <= _MU_CEIL:
             step = _damped_step(J, full, mu)

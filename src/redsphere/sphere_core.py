@@ -57,13 +57,13 @@ _PREV = np.array([2, 0, 1])
 
 
 def _cross_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (m, 3) arrays.
+    """Row-wise cross product of (..., m, 3) arrays.
 
     Bit for bit np.cross, at a third of its fixed cost per call, which
     dominates on the few rows of a polygon.  The result is C-ordered like
     np.cross's, since reductions over it round differently in F order.
     """
-    return np.subtract(A[:, _NEXT] * B[:, _PREV], A[:, _PREV] * B[:, _NEXT], order="C")
+    return np.subtract(A[..., _NEXT] * B[..., _PREV], A[..., _PREV] * B[..., _NEXT], order="C")
 
 
 def _angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -178,10 +178,6 @@ class Arc:
     def contains(self, p: SpherePoint, tol: float = ON_ARC_TOL) -> bool:
         """True when p lies on the closed arc (within tol, radians)."""
         return abs(distance(self.a, p) + distance(p, self.b) - self.length) <= tol
-
-    def parameter(self, p: SpherePoint) -> float:
-        """Arc-length fraction of p from endpoint a; p must lie on the arc's circle."""
-        return distance(self.a, p) / self.length
 
 
 def arc_intersection(u: Arc, v: Arc, tol: float = ON_ARC_TOL) -> SpherePoint:

@@ -31,7 +31,6 @@ from redsphere import (
     diameter_bound,
     distance,
     load_polygon,
-    opposite_side,
     polygon_from_doc,
     polygon_to_doc,
     project_to_circle,
@@ -47,6 +46,24 @@ QUARTER_PI = 0.25 * math.pi
 
 def _ring(colat, lons):
     return [SpherePoint.from_spherical(colat, lon) for lon in lons]
+
+
+def opposite_side(i: int, n: int) -> tuple[int, int]:
+    """Indices of the side opposite vertex i in an odd n-gon.
+
+    Returns ((i + (n-1)/2) mod n, (i + (n+1)/2) mod n).  Composing the map
+    twice through the first index advances by n - 1, i.e. one step back.
+    """
+    if n % 2 == 0 or n < 3:
+        raise DomainError(f"opposite side undefined: n={n!r} is not odd >= 3")
+    if not 0 <= i < n:
+        raise DomainError(f"vertex index {i!r} outside range(0, {n})")
+    return ((i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n)
+
+
+def arc_parameter(arc: Arc, p: SpherePoint) -> float:
+    """Arc-length fraction of p from endpoint a; p must lie on the arc's circle."""
+    return distance(arc.a, p) / arc.length
 
 
 # The per-vertex reduced_check built on the sphere_core objects, kept as the
@@ -86,7 +103,7 @@ def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL)
         dists.append(distance(verts[i], foot))
         side = Arc(verts[j], verts[k])
         on_segment = side.contains(foot, tol=EDGE_EPS)
-        u = side.parameter(foot)
+        u = arc_parameter(side, foot)
         interior.append(on_segment and EDGE_EPS < u < 1.0 - EDGE_EPS)
 
     crossings: list[Optional[SpherePoint]] = []
@@ -260,6 +277,61 @@ class TestReducedCheck:
                     == [o is None for o in want.crossings])
             np.testing.assert_allclose(_witness_values(got), _witness_values(want),
                                        rtol=0.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("beyond, crosses", [(3e-10, True), (7e-10, False)])
+    def test_crossing_slack_at_spoke_end(self, beyond, crosses):
+        # A crossing counts when it lies within ON_ARC_TOL / 2 = 5e-10 of both spokes.
+        P = _triangle_with_crossing_beyond(beyond)
+        assert _crossing_overshoot(P, 0) == pytest.approx(beyond, rel=0.0, abs=1e-13)
+        got, want = reduced_check(P), reference_reduced_check(P)
+        assert [o is None for o in got.crossings] == [o is None for o in want.crossings]
+        assert (got.crossings[0] is not None) is crosses
+
+
+def _crossing_overshoot(P, i):
+    """Arc length by which the crossing o_i lies beyond the ends of its spokes.
+
+    The spokes run from v_i and v_k, k = i + (n + 1)/2, to their feet.  Of the
+    two points where their great circles meet, the one nearer the spokes is
+    taken; a point at distance d beyond an arc end overshoots the arc-length
+    sum of Arc.contains by 2d.
+    """
+    n = P.n
+    spokes = []
+    for m in (i, (i + (n + 1) // 2) % n):
+        j, k = opposite_side(m, n)
+        circle = GreatCircle.through(P.vertices[j], P.vertices[k])
+        spokes.append(Arc(P.vertices[m], project_to_circle(P.vertices[m], circle)))
+    c = SpherePoint.from_vec(np.cross(spokes[0].circle.pole.vec, spokes[1].circle.pole.vec))
+
+    def beyond(o):
+        return max(0.5 * (distance(s.a, o) + distance(o, s.b) - s.length) for s in spokes)
+
+    return min(beyond(c), beyond(c.antipode()))
+
+
+def _triangle_with_crossing_beyond(target):
+    """Triangle whose crossing o_0 lies `target` beyond the ends of its spokes.
+
+    With a right angle at v_2, the feet of v_0 and v_1 are both v_2, and the
+    spokes of v_0 and v_2 meet at v_2: the end of one, the start of the other.
+    Widening that angle by t moves the crossing past both ends, by an amount
+    that grows with t; t is found by bisection.
+    """
+    def build(t):
+        return SphericalPolygon([SpherePoint.from_spherical(0.6, 0.0),
+                                 SpherePoint.from_spherical(0.5, 0.5 * math.pi + t),
+                                 SpherePoint(0.0, 0.0, 1.0)])
+
+    lo, hi = 0.0, 1e-6
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _crossing_overshoot(build(mid), 0) < target:
+            lo = mid
+        else:
+            hi = mid
+    return build(hi)
 
 
 def _witness_values(w):

@@ -5,16 +5,35 @@ import math
 import numpy as np
 import pytest
 
+from conftest import GRID_OMEGA
+
 from redsphere import (
     SamplerConfig,
     Splitmix64,
     build_regular,
     reduced_check,
+    regular_metrics,
     sample_batch,
     sample_reduced,
+    sampler,
 )
+from redsphere.polygon import opposite_side_heights
 
 QUARTER_PI = 0.25 * math.pi
+
+
+# The column-by-column central differences the sampler made before it
+# stacked all columns into one residual call; kept as the oracle of
+# sampler._fd_jacobian.
+def reference_fd_jacobian(fun, params):
+    columns = []
+    for j in range(params.size):
+        hi = params.copy()
+        hi[j] += sampler._FD_STEP
+        lo = params.copy()
+        lo[j] -= sampler._FD_STEP
+        columns.append((fun(hi) - fun(lo)) / (2.0 * sampler._FD_STEP))
+    return np.column_stack(columns)
 
 
 class TestSplitmix64:
@@ -153,3 +172,53 @@ class TestBatchQuality:
             w = reduced_check(s.polygon)
             assert w.is_reduced
             assert abs(w.thickness - QUARTER_PI) < 1e-7
+
+
+def _random_params(rng, n, omega):
+    """Packed sampler parameters of a perturbed regular n-gon, and lon_0."""
+    met = regular_metrics(n, omega)
+    colat = met.circumradius + rng.uniform(-0.05, 0.05, n)
+    lon = 2.0 * math.pi * np.arange(n) / n + rng.uniform(-0.05, 0.05, n)
+    return np.concatenate([colat, lon[1:]]), float(lon[0])
+
+
+class TestStackedJacobian:
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 15, 21])
+    def test_matches_column_by_column(self, n):
+        rng = np.random.default_rng(n)
+        for omega in GRID_OMEGA:
+            for _ in range(20):
+                params, lon0 = _random_params(rng, n, omega)
+
+                def fun(P):
+                    return sampler._full_residual(P, n, lon0, omega)
+
+                assert np.array_equal(sampler._fd_jacobian(fun, params),
+                                      reference_fd_jacobian(fun, params))
+                stack = params + rng.uniform(-1e-3, 1e-3, (4, params.size))
+                assert np.array_equal(fun(stack), np.array([fun(row) for row in stack]))
+
+    @pytest.mark.parametrize("n", [3, 7, 21])
+    def test_heights_of_a_stack_equal_single_calls(self, n):
+        rng = np.random.default_rng(100 + n)
+        for B in (1, 2, 2 * (2 * n - 1)):
+            rows = np.array([_random_params(rng, n, QUARTER_PI)[0] for _ in range(B)])
+            V = sampler._embed(rows, n, 0.1)
+            assert V.shape == (B, n, 3)
+            assert np.array_equal(opposite_side_heights(V),
+                                  np.array([opposite_side_heights(W) for W in V]))
+
+    def test_grid_solves_equal_column_by_column(self, sample_grid, monkeypatch):
+        monkeypatch.setattr(sampler, "_fd_jacobian", reference_fd_jacobian)
+        for (n, omega), batch in sample_grid.cells.items():
+            for got in batch[:20]:
+                want = sample_reduced(got.config)
+                assert (got.converged, got.iterations, got.final_residual,
+                        got.failure_reason, got.residual_history) == (
+                    want.converged, want.iterations, want.final_residual,
+                    want.failure_reason, want.residual_history)
+                # repr, since NaN crossing angles never compare equal.
+                assert repr(got.witness) == repr(want.witness)
+                assert (got.polygon is None) == (want.polygon is None)
+                if got.polygon is not None:
+                    assert np.array_equal(got.polygon.as_array(), want.polygon.as_array())
