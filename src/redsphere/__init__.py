@@ -8,28 +8,17 @@ extremal claims about their perimeter, diameter and smallest enclosing cap.
 """
 
 from .errors import (
-    CoplanarArcs,
     DegenerateAngle,
-    DegenerateArc,
     DegeneratePoint,
     DegenerateProjection,
     DomainError,
     NoEnclosingCap,
-    NoIntersection,
     NotConvex,
     NotInHemisphere,
     PolygonDocumentError,
     RedsphereError,
 )
-from .sphere_core import (
-    Arc,
-    GreatCircle,
-    SpherePoint,
-    angle_at,
-    arc_intersection,
-    distance,
-    project_to_circle,
-)
+from .sphere_core import SpherePoint, angle_at, distance
 from .formulas import (
     RegularMetrics,
     arm_from_angle,
@@ -78,12 +67,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "RedsphereError", "DomainError", "DegeneratePoint", "DegenerateArc",
-    "DegenerateProjection", "DegenerateAngle", "NoIntersection", "CoplanarArcs",
-    "NotConvex", "NotInHemisphere", "NoEnclosingCap", "PolygonDocumentError",
+    "RedsphereError", "DomainError", "DegeneratePoint",
+    "DegenerateProjection", "DegenerateAngle", "NotConvex", "NotInHemisphere", "NoEnclosingCap", "PolygonDocumentError",
     # sphere core
-    "SpherePoint", "GreatCircle", "Arc",
-    "distance", "angle_at", "arc_intersection", "project_to_circle",
+    "SpherePoint", "distance", "angle_at",
     # closed forms
     "RegularMetrics", "x_limit", "regular_triangle_half_angle",
     "arm_length", "crossing_angle", "crossing_angle_inv", "arm_from_angle",

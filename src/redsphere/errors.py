@@ -18,24 +18,12 @@ class DegeneratePoint(RedsphereError):
     """A vector too short to normalize onto the unit sphere."""
 
 
-class DegenerateArc(RedsphereError):
-    """Arc endpoints coincident or antipodal; the shorter arc is undefined."""
-
-
 class DegenerateProjection(RedsphereError):
     """Point is (anti)parallel to the circle pole; projection undefined."""
 
 
 class DegenerateAngle(RedsphereError):
     """Angle vertex coincident or antipodal with a ray endpoint."""
-
-
-class NoIntersection(RedsphereError):
-    """Two arcs whose great circles meet outside both arcs."""
-
-
-class CoplanarArcs(RedsphereError):
-    """Two arcs on the same great circle; no transversal intersection."""
 
 
 class NotConvex(RedsphereError):

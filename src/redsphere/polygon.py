@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,6 +83,48 @@ def opposite_side_heights(V: np.ndarray) -> np.ndarray:
     """
     _, _, P = _opposite_poles(V)
     return np.arcsin(np.clip(np.einsum("...ij,...ij->...i", V, P), -1.0, 1.0))
+
+
+# Candidate centres that circumcap scores at once.
+_CAP_BLOCK = 2048
+
+
+@lru_cache(maxsize=8)
+def _index_combinations(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) as rows, in combinations order (read-only)."""
+    rows = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.intp)
+    rows = rows.reshape(-1, k)
+    rows.flags.writeable = False
+    return rows
+
+
+def _unit_rows(R: np.ndarray, anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of R at least _SIGN_EPS long, normalized, with their anchors.
+
+    The norm is the square root of a batched-matmul self dot, which rounds
+    like the 1-D np.linalg.norm; np.linalg.norm(axis=1) does not.
+    """
+    norm = np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+    keep = norm >= _SIGN_EPS
+    return R[keep] / norm[keep, None], anchor[keep]
+
+
+def _cap_candidates(V: np.ndarray):
+    """Blocks (centres, anchors) of circumcap's candidate centres, in order.
+
+    Pair midpoints first, then the triple centres with +c before -c.  Row m
+    of a block is a candidate whose cap boundary passes through V[anchor[m]].
+    """
+    n = V.shape[0]
+    pairs = _index_combinations(n, 2)
+    for start in range(0, len(pairs), _CAP_BLOCK):
+        i, j = pairs[start:start + _CAP_BLOCK].T
+        yield _unit_rows(V[i] + V[j], i)
+    triples = _index_combinations(n, 3)
+    for start in range(0, len(triples), _CAP_BLOCK // 2):
+        i, j, k = triples[start:start + _CAP_BLOCK // 2].T
+        C, anchor = _unit_rows(_cross_rows(V[i] - V[j], V[j] - V[k]), i)
+        yield np.stack([C, -C], axis=1).reshape(-1, 3), np.repeat(anchor, 2)
 
 
 class SphericalPolygon:
@@ -164,43 +207,37 @@ class SphericalPolygon:
         """Smallest spherical cap containing every vertex.
 
         Brute force over the O(n^2) two-point caps and O(n^3) three-point
-        caps; intended for the small polygons this package works with.
+        caps, as array code over all candidate centres.  The candidates are
+        every pair midpoint, in combinations order, then every triple's
+        +-(v_i - v_j) x (v_j - v_k), in combinations order with + before -;
+        pairs and triples whose direction is shorter than _SIGN_EPS are
+        skipped.  A candidate counts when its own cap (radius to v_i) is at
+        most pi/2 and covers every vertex; of those, the first with the least
+        cover wins.  Candidates are scored in blocks of _CAP_BLOCK, so memory
+        stays bounded at n = 99.  Norms and dot products are batched matmuls,
+        which round like 1-D dot products, so the cap is bit for bit the one
+        a loop over candidates with 1-D dot products finds; the tests keep
+        that loop as the oracle.
         """
         n = self.n
         if n > 99:
             raise DomainError(f"circumcap supports at most 99 vertices, got {n}")
         V = self._array
-        best: Optional[tuple[float, np.ndarray]] = None
         slack = 1e-12
-
-        def consider(center: np.ndarray, radius: float) -> None:
-            nonlocal best
-            if radius > 0.5 * math.pi + slack:
-                return
-            cover = float(np.max(np.arccos(np.clip(V @ center, -1.0, 1.0))))
-            if cover > radius + slack:
-                return
-            if best is None or cover < best[0]:
-                best = (cover, center)
-
-        for i, j in combinations(range(n), 2):
-            m = V[i] + V[j]
-            nm = float(np.linalg.norm(m))
-            if nm < _SIGN_EPS:
-                continue
-            center = m / nm
-            consider(center, math.acos(max(-1.0, min(1.0, float(center @ V[i])))))
-        for i, j, k in combinations(range(n), 3):
-            c = np.cross(V[i] - V[j], V[j] - V[k])
-            nc = float(np.linalg.norm(c))
-            if nc < _SIGN_EPS:
-                continue
-            for center in (c / nc, -c / nc):
-                consider(center, math.acos(max(-1.0, min(1.0, float(center @ V[i])))))
-        if best is None:
+        best_cover, best_center = math.inf, None
+        for C, anchor in _cap_candidates(V):
+            radius = np.arccos(np.clip((C[:, None, :] @ V[anchor][:, :, None])[:, 0, 0],
+                                       -1.0, 1.0))
+            cover = np.arccos(np.clip((V @ C[:, :, None])[..., 0], -1.0, 1.0)).max(axis=1)
+            ok = np.flatnonzero((radius <= 0.5 * math.pi + slack) & (cover <= radius + slack))
+            if ok.size:
+                m = ok[np.argmin(cover[ok])]
+                # Strict: on equal covers the earlier block's candidate stays.
+                if cover[m] < best_cover:
+                    best_cover, best_center = float(cover[m]), C[m]
+        if best_center is None:
             raise NoEnclosingCap("no cap of radius <= pi/2 encloses the vertices")
-        radius, center = best
-        return Cap(center=SpherePoint.from_vec(center), radius=radius)
+        return Cap(center=SpherePoint.from_vec(best_center), radius=best_cover)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SphericalPolygon) and self._vertices == other._vertices
@@ -281,10 +318,10 @@ def reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL) -> Reduce
     parameter from v_j lies in (EDGE_EPS, 1 - EDGE_EPS) times the side
     length.  The spokes v_i -> t_i and v_k -> t_k cross at +-(q_i x q_k),
     with q the unit spoke poles; the sign whose arc parameters land on both
-    closed spokes is taken.  A point at signed parameter s on an arc of
-    length D overshoots the arc-length sum of Arc.contains by
-    2 max(-s, s - D, 0), so the slack ON_ARC_TOL there allows s in
-    [-ON_ARC_TOL/2, D + ON_ARC_TOL/2] here.
+    closed spokes is taken.  A point x at signed parameter s on the great
+    circle of an arc (a, b) of length D has d(a, x) + d(x, b) - D equal to
+    2 max(-s, s - D, 0), so a slack of ON_ARC_TOL on that arc-length sum
+    allows s in [-ON_ARC_TOL/2, D + ON_ARC_TOL/2].
     """
     n = polygon.n
     if n % 2 == 0:

@@ -1,7 +1,7 @@
 """Floating-point geometry kernel on the unit sphere.
 
-Points, great circles and arcs, with distance, angle, projection and
-intersection primitives.  All lengths and angles are radians in 64-bit
+Points on the unit sphere, with distance and angle primitives and their
+row-wise array forms.  All lengths and angles are radians in 64-bit
 floats.  Distances and angles are taken as atan2 of a cross-product norm
 over a dot product, so they keep full precision for short arcs and small
 angles, where acos of a dot product near 1 loses about
@@ -15,28 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoplanarArcs,
-    DegenerateAngle,
-    DegenerateArc,
-    DegeneratePoint,
-    DegenerateProjection,
-    NoIntersection,
-)
+from .errors import DegenerateAngle, DegeneratePoint
 
 __all__ = [
     "SpherePoint",
-    "GreatCircle",
-    "Arc",
     "distance",
-    "project_to_circle",
-    "arc_intersection",
     "angle_at",
 ]
 
 # |dot| above this bound means "coincident or antipodal" for unit vectors.
 SEPARATION_TOL = 1e-12
-# Default slack when testing whether a point lies on a closed arc.
+# Slack on d(a, p) + d(p, b) - d(a, b) when p counts as on the closed arc (a, b).
 ON_ARC_TOL = 1e-9
 
 
@@ -109,13 +98,6 @@ class SpherePoint:
     def dot(self, other: "SpherePoint") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def cross(self, other: "SpherePoint") -> "SpherePoint":
-        # raises DegeneratePoint if parallel
-        return SpherePoint(*_cross(self.x, self.y, self.z, other.x, other.y, other.z))
-
-    def antipode(self) -> "SpherePoint":
-        return SpherePoint(-self.x, -self.y, -self.z)
-
 
 def distance(p: SpherePoint, q: SpherePoint) -> float:
     """Geodesic (angular) distance in [0, pi].
@@ -124,77 +106,6 @@ def distance(p: SpherePoint, q: SpherePoint) -> float:
     length; acos(p . q) would return 0 for arcs shorter than about 1e-8.
     """
     return _angle(p.x, p.y, p.z, q.x, q.y, q.z)
-
-
-@dataclass(frozen=True)
-class GreatCircle:
-    """Oriented great circle stored as its pole."""
-
-    pole: SpherePoint
-
-    @classmethod
-    def through(cls, a: SpherePoint, b: SpherePoint) -> "GreatCircle":
-        """Great circle through two distinct, non-antipodal points.
-
-        Oriented so that the pole is a x b.
-        """
-        if abs(a.dot(b)) >= 1.0 - SEPARATION_TOL:
-            raise DegenerateArc("points coincident or antipodal; circle not unique")
-        return cls(a.cross(b))
-
-
-def project_to_circle(p: SpherePoint, circle: GreatCircle) -> SpherePoint:
-    """Nearest point of the great circle to p.
-
-    Raises DegenerateProjection when p is within ~1e-12 of either pole,
-    where every circle point is equally close.
-    """
-    d = p.dot(circle.pole)
-    if abs(d) >= 1.0 - SEPARATION_TOL:
-        raise DegenerateProjection("point coincides with a circle pole")
-    v = p.vec - d * circle.pole.vec
-    return SpherePoint.from_vec(v)
-
-
-@dataclass(frozen=True)
-class Arc:
-    """The shorter great-circle segment between two endpoints."""
-
-    a: SpherePoint
-    b: SpherePoint
-
-    def __post_init__(self) -> None:
-        if abs(self.a.dot(self.b)) >= 1.0 - SEPARATION_TOL:
-            raise DegenerateArc("arc endpoints coincident or antipodal")
-
-    @property
-    def length(self) -> float:
-        return distance(self.a, self.b)
-
-    @property
-    def circle(self) -> GreatCircle:
-        return GreatCircle.through(self.a, self.b)
-
-    def contains(self, p: SpherePoint, tol: float = ON_ARC_TOL) -> bool:
-        """True when p lies on the closed arc (within tol, radians)."""
-        return abs(distance(self.a, p) + distance(p, self.b) - self.length) <= tol
-
-
-def arc_intersection(u: Arc, v: Arc, tol: float = ON_ARC_TOL) -> SpherePoint:
-    """The point where two arcs cross.
-
-    Raises CoplanarArcs when both arcs share one great circle and
-    NoIntersection when the circles meet outside the closed arcs.
-    """
-    c = np.cross(u.circle.pole.vec, v.circle.pole.vec)
-    n = float(np.linalg.norm(c))
-    if n < 1e-12:
-        raise CoplanarArcs("arcs lie on the same great circle")
-    cand = SpherePoint.from_vec(c / n)
-    for q in (cand, cand.antipode()):
-        if u.contains(q, tol) and v.contains(q, tol):
-            return q
-    raise NoIntersection("great circles cross outside the arcs")
 
 
 def angle_at(vertex: SpherePoint, p: SpherePoint, q: SpherePoint) -> float:

@@ -2,22 +2,30 @@
 
 import json
 import math
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 import pytest
 
-from test_sphere_core import Lune
+from test_sphere_core import (
+    Arc,
+    CoplanarArcs,
+    DegenerateArc,
+    GreatCircle,
+    Lune,
+    NoIntersection,
+    antipode,
+    arc_intersection,
+    project_to_circle,
+)
 
 from redsphere import (
     OMEGA_GRID,
-    Arc,
-    CoplanarArcs,
+    Cap,
     DegenerateAngle,
-    DegenerateArc,
     DomainError,
-    GreatCircle,
-    NoIntersection,
+    NoEnclosingCap,
     NotConvex,
     NotInHemisphere,
     PolygonDocumentError,
@@ -26,20 +34,19 @@ from redsphere import (
     SpherePoint,
     SphericalPolygon,
     angle_at,
-    arc_intersection,
     build_regular,
     diameter_bound,
     distance,
     load_polygon,
     polygon_from_doc,
     polygon_to_doc,
-    project_to_circle,
     reduced_check,
     regular_metrics,
     sample_reduced,
     save_polygon,
 )
-from redsphere.polygon import EDGE_EPS, REDUCED_TOL
+from redsphere import polygon as polygon_module
+from redsphere.polygon import _CAP_BLOCK, EDGE_EPS, REDUCED_TOL, _index_combinations
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -143,6 +150,51 @@ def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL)
         max_residual=spread,
         reason=reason,
     )
+
+
+# The per-candidate loop of SphericalPolygon.circumcap, kept as the oracle of
+# its array form.
+def reference_circumcap(polygon: SphericalPolygon) -> Cap:
+    """Smallest spherical cap containing every vertex.
+
+    Brute force over the O(n^2) two-point caps and O(n^3) three-point
+    caps; intended for the small polygons this package works with.
+    """
+    n = polygon.n
+    if n > 99:
+        raise DomainError(f"circumcap supports at most 99 vertices, got {n}")
+    V = polygon.as_array()
+    best: Optional[tuple[float, np.ndarray]] = None
+    slack = 1e-12
+
+    def consider(center: np.ndarray, radius: float) -> None:
+        nonlocal best
+        if radius > 0.5 * math.pi + slack:
+            return
+        cover = float(np.max(np.arccos(np.clip(V @ center, -1.0, 1.0))))
+        if cover > radius + slack:
+            return
+        if best is None or cover < best[0]:
+            best = (cover, center)
+
+    for i, j in combinations(range(n), 2):
+        m = V[i] + V[j]
+        nm = float(np.linalg.norm(m))
+        if nm < 1e-12:
+            continue
+        center = m / nm
+        consider(center, math.acos(max(-1.0, min(1.0, float(center @ V[i])))))
+    for i, j, k in combinations(range(n), 3):
+        c = np.cross(V[i] - V[j], V[j] - V[k])
+        nc = float(np.linalg.norm(c))
+        if nc < 1e-12:
+            continue
+        for center in (c / nc, -c / nc):
+            consider(center, math.acos(max(-1.0, min(1.0, float(center @ V[i])))))
+    if best is None:
+        raise NoEnclosingCap("no cap of radius <= pi/2 encloses the vertices")
+    radius, center = best
+    return Cap(center=SpherePoint.from_vec(center), radius=radius)
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +360,7 @@ def _crossing_overshoot(P, i):
     def beyond(o):
         return max(0.5 * (distance(s.a, o) + distance(o, s.b) - s.length) for s in spokes)
 
-    return min(beyond(c), beyond(c.antipode()))
+    return min(beyond(c), beyond(antipode(c)))
 
 
 def _triangle_with_crossing_beyond(target):
@@ -452,6 +504,84 @@ class TestCircumcap:
         cap = pentagon.circumcap()
         assert cap.contains(SpherePoint(0, 0, 1))
         assert not cap.contains(SpherePoint(1, 0, 0))
+
+    def test_matches_loop_reference(self, sample_grid):
+        polygons = [s.polygon for s in sample_grid.all_converged()]
+        polygons += [build_regular(n, w) for n in range(3, 22, 2) for w in OMEGA_GRID]
+        # Reduced polygons have three-point caps; random hulls also have two-point ones.
+        polygons += _random_hulls(60, seed=11)
+        for P in polygons:
+            _assert_same_cap(P.circumcap(), reference_circumcap(P))
+
+    def test_winner_in_a_later_triple_block(self):
+        # Three vertices at colatitude 0.5 fix the cap; their triple (7, 14, 20)
+        # comes after the first _CAP_BLOCK // 2 triples.
+        far = (7, 14, 20)
+        P = SphericalPolygon([SpherePoint.from_spherical(0.5 if k in far else 0.49,
+                                                         2.0 * math.pi * k / 21)
+                              for k in range(21)])
+        triples = _index_combinations(21, 3).tolist()
+        assert len(triples) > _CAP_BLOCK // 2
+        assert triples.index(list(far)) >= _CAP_BLOCK // 2
+        cap = P.circumcap()
+        _assert_same_cap(cap, reference_circumcap(P))
+        assert cap.radius == pytest.approx(0.5, abs=1e-12)
+
+    def test_small_blocks_keep_the_first_minimum(self, monkeypatch, crooked_heptagon):
+        # Ties between equal covers in different blocks go to the earlier one.
+        monkeypatch.setattr(polygon_module, "_CAP_BLOCK", 4)
+        polygons = [build_regular(n, w) for n in (3, 5, 7, 9) for w in OMEGA_GRID]
+        for P in polygons + [crooked_heptagon]:
+            _assert_same_cap(P.circumcap(), reference_circumcap(P))
+
+    def test_ninety_nine_vertices_supported(self):
+        w = math.pi / 6
+        cap = build_regular(99, w).circumcap()
+        assert cap.radius == pytest.approx(regular_metrics(99, w).circumradius, abs=1e-9)
+
+    def test_more_than_ninety_nine_vertices_refused(self):
+        with pytest.raises(DomainError, match="circumcap supports at most 99 vertices, got 101"):
+            build_regular(101, math.pi / 6).circumcap()
+
+
+def _random_hulls(count, seed):
+    """Convex hulls of random points within 0.6 of the north pole.
+
+    Hulls are taken in the gnomonic projection, which maps great circles to
+    lines; the monotone chain returns them counterclockwise.
+    """
+    rng = np.random.default_rng(seed)
+    hulls = []
+    while len(hulls) < count:
+        m = int(rng.integers(3, 13))
+        colat = 0.6 * np.sqrt(rng.uniform(size=m))
+        lon = rng.uniform(0.0, 2.0 * math.pi, size=m)
+        xy = np.tan(colat)[:, None] * np.column_stack([np.cos(lon), np.sin(lon)])
+        hull: list[int] = []
+        for order in (np.lexsort((xy[:, 1], xy[:, 0])), np.lexsort((-xy[:, 1], -xy[:, 0]))):
+            chain = []
+            for idx in order:
+                while len(chain) >= 2 and _turn(*xy[chain[-2:]], xy[idx]) <= 0.0:
+                    chain.pop()
+                chain.append(idx)
+            hull += chain[:-1]
+        if len(hull) < 3:
+            continue
+        try:
+            hulls.append(SphericalPolygon([SpherePoint(x, y, 1.0) for x, y in xy[hull]]))
+        except NotConvex:
+            continue
+    return hulls
+
+
+def _turn(o, a, b):
+    """Positive when o -> a -> b turns counterclockwise in the plane."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _assert_same_cap(got, want):
+    assert got.radius == want.radius
+    assert np.array_equal(got.center.vec, want.center.vec)
 
 
 class TestPolygonDocuments:

@@ -1,4 +1,4 @@
-"""Kernel geometry: distances, projections, intersections, and the lune oracle."""
+"""Kernel geometry: distances and angles, plus the circle, arc and lune oracles."""
 
 import math
 from dataclasses import dataclass
@@ -9,21 +9,112 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from redsphere import (
-    Arc,
-    CoplanarArcs,
     DegenerateAngle,
-    DegenerateArc,
     DegeneratePoint,
     DegenerateProjection,
-    GreatCircle,
-    NoIntersection,
+    RedsphereError,
     SpherePoint,
     angle_at,
-    arc_intersection,
     distance,
-    project_to_circle,
 )
-from redsphere.sphere_core import SEPARATION_TOL
+from redsphere.sphere_core import ON_ARC_TOL, SEPARATION_TOL, _cross
+
+
+# Great circles and arcs as objects.  No library code uses them; they are
+# the building blocks of the per-vertex oracles in test_polygon.
+
+
+class DegenerateArc(RedsphereError):
+    """Arc endpoints coincident or antipodal; the shorter arc is undefined."""
+
+
+class NoIntersection(RedsphereError):
+    """Two arcs whose great circles meet outside both arcs."""
+
+
+class CoplanarArcs(RedsphereError):
+    """Two arcs on the same great circle; no transversal intersection."""
+
+
+def cross(p: SpherePoint, q: SpherePoint) -> SpherePoint:
+    """Unit vector along p x q; raises DegeneratePoint if p and q are parallel."""
+    return SpherePoint(*_cross(p.x, p.y, p.z, q.x, q.y, q.z))
+
+
+def antipode(p: SpherePoint) -> SpherePoint:
+    return SpherePoint(-p.x, -p.y, -p.z)
+
+
+@dataclass(frozen=True)
+class GreatCircle:
+    """Oriented great circle stored as its pole."""
+
+    pole: SpherePoint
+
+    @classmethod
+    def through(cls, a: SpherePoint, b: SpherePoint) -> "GreatCircle":
+        """Great circle through two distinct, non-antipodal points.
+
+        Oriented so that the pole is a x b.
+        """
+        if abs(a.dot(b)) >= 1.0 - SEPARATION_TOL:
+            raise DegenerateArc("points coincident or antipodal; circle not unique")
+        return cls(cross(a, b))
+
+
+def project_to_circle(p: SpherePoint, circle: GreatCircle) -> SpherePoint:
+    """Nearest point of the great circle to p.
+
+    Raises DegenerateProjection when p is within ~1e-12 of either pole,
+    where every circle point is equally close.
+    """
+    d = p.dot(circle.pole)
+    if abs(d) >= 1.0 - SEPARATION_TOL:
+        raise DegenerateProjection("point coincides with a circle pole")
+    v = p.vec - d * circle.pole.vec
+    return SpherePoint.from_vec(v)
+
+
+@dataclass(frozen=True)
+class Arc:
+    """The shorter great-circle segment between two endpoints."""
+
+    a: SpherePoint
+    b: SpherePoint
+
+    def __post_init__(self) -> None:
+        if abs(self.a.dot(self.b)) >= 1.0 - SEPARATION_TOL:
+            raise DegenerateArc("arc endpoints coincident or antipodal")
+
+    @property
+    def length(self) -> float:
+        return distance(self.a, self.b)
+
+    @property
+    def circle(self) -> GreatCircle:
+        return GreatCircle.through(self.a, self.b)
+
+    def contains(self, p: SpherePoint, tol: float = ON_ARC_TOL) -> bool:
+        """True when p lies on the closed arc (within tol, radians)."""
+        return abs(distance(self.a, p) + distance(p, self.b) - self.length) <= tol
+
+
+def arc_intersection(u: Arc, v: Arc, tol: float = ON_ARC_TOL) -> SpherePoint:
+    """The point where two arcs cross.
+
+    Raises CoplanarArcs when both arcs share one great circle and
+    NoIntersection when the circles meet outside the closed arcs.
+    """
+    c = np.cross(u.circle.pole.vec, v.circle.pole.vec)
+    n = float(np.linalg.norm(c))
+    if n < 1e-12:
+        raise CoplanarArcs("arcs lie on the same great circle")
+    cand = SpherePoint.from_vec(c / n)
+    for q in (cand, antipode(cand)):
+        if u.contains(q, tol) and v.contains(q, tol):
+            return q
+    raise NoIntersection("great circles cross outside the arcs")
+
 
 EX = SpherePoint(1.0, 0.0, 0.0)
 EY = SpherePoint(0.0, 1.0, 0.0)
