@@ -65,24 +65,32 @@ def _thickness(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("count must be >= 1")
+def _sample_thickness(text: str) -> float:
+    """A thickness the sampler accepts: above 4 x its default perturbation."""
+    value = _thickness(text)
+    floor = 4.0 * SamplerConfig.perturbation_scale
+    if value <= floor:
+        raise argparse.ArgumentTypeError(
+            f"thickness must exceed {floor:g} (4 x the sampler's "
+            f"{SamplerConfig.perturbation_scale:g} perturbation), got {text!r}")
     return value
 
 
-def _grid_size(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 100:
-        raise argparse.ArgumentTypeError("grid must be >= 100")
-    return value
+def _int_at_least(name: str, floor: int):
+    """An argparse type: an integer >= floor, called name in the error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {floor}")
+        return value
+    return parse
+
+
+_count = _int_at_least("count", 1)
+_seed = _int_at_least("seed", 0)
 
 
 def _lambda_list(text: str) -> tuple[float, ...]:
@@ -119,19 +127,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample perturbed reduced polygons")
     p.add_argument("--n", type=_odd_int, required=True)
-    p.add_argument("--thickness", type=_thickness, required=True)
-    p.add_argument("--count", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--thickness", type=_sample_thickness, required=True)
+    p.add_argument("--count", type=_count, default=10)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", default=None, help="write the claim reports here")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("lemmas", help="tabulate the scalar maps on a grid")
-    p.add_argument("--grid", type=_grid_size, default=1000)
+    p.add_argument("--grid", type=_int_at_least("grid", 100), default=1000)
     p.add_argument("--lambdas", type=_lambda_list, default=(0.3, 0.5, 1.0, 2.0, 5.0))
 
     p = sub.add_parser("suite", help="run the default verification grid")
-    p.add_argument("--count", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_count, default=5)
+    p.add_argument("--seed", type=_seed, default=0)
 
     return parser
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import formulas
 from .errors import (
     DegenerateAngle,
+    DegeneratePoint,
     DegenerateProjection,
     DomainError,
     NoEnclosingCap,
@@ -29,7 +30,15 @@ from .errors import (
     NotInHemisphere,
     PolygonDocumentError,
 )
-from .sphere_core import ON_ARC_TOL, SEPARATION_TOL, SpherePoint, _angles, _cross_rows, distance
+from .sphere_core import (
+    ON_ARC_TOL,
+    SEPARATION_TOL,
+    SpherePoint,
+    _angles,
+    _cross_rows,
+    _norm_rows,
+    distance,
+)
 
 __all__ = [
     "SphericalPolygon",
@@ -54,10 +63,21 @@ REDUCED_TOL = 1e-7
 _SIGN_EPS = 1e-12
 
 
+@lru_cache(maxsize=32)
+def _ring_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per vertex i of an n-gon: the next vertex i + 1, and the ends
+    i + (n - 1)/2 and i + (n + 1)/2 of the opposite side, all mod n (read-only)."""
+    i = np.arange(n)
+    out = ((i + 1) % n, (i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def edge_poles(V: np.ndarray) -> np.ndarray:
     """Unit poles of the edge great circles v_i -> v_{i+1} (rows)."""
-    P = _cross_rows(V, np.roll(V, -1, axis=0))
-    return P / np.linalg.norm(P, axis=1, keepdims=True)
+    P = _cross_rows(V, V[_ring_indices(len(V))[0]])
+    return P / _norm_rows(P)[:, None]
 
 
 def _opposite_poles(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,12 +85,9 @@ def _opposite_poles(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The vertex axis of V is -2, so a (..., n, 3) stack gives (..., n, 3) poles.
     """
-    n = V.shape[-2]
-    i = np.arange(n)
-    j = (i + (n - 1) // 2) % n
-    k = (i + (n + 1) // 2) % n
+    _, j, k = _ring_indices(V.shape[-2])
     P = _cross_rows(V[..., j, :], V[..., k, :])
-    P /= np.linalg.norm(P, axis=-1, keepdims=True)
+    P /= _norm_rows(P)[..., None]
     return j, k, P
 
 
@@ -112,8 +129,8 @@ def _unit_rows(R: np.ndarray, anchor: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _cap_candidates(V: np.ndarray):
     """Blocks (centres, anchors) of circumcap's candidate centres, in order.
 
-    Pair midpoints first, then the triple centres with +c before -c.  Row m
-    of a block is a candidate whose cap boundary passes through V[anchor[m]].
+    Pair midpoints first, then the triple centres.  Row m of a block is a
+    candidate whose cap boundary passes through V[anchor[m]].
     """
     n = V.shape[0]
     pairs = _index_combinations(n, 2)
@@ -121,56 +138,90 @@ def _cap_candidates(V: np.ndarray):
         i, j = pairs[start:start + _CAP_BLOCK].T
         yield _unit_rows(V[i] + V[j], i)
     triples = _index_combinations(n, 3)
-    for start in range(0, len(triples), _CAP_BLOCK // 2):
-        i, j, k = triples[start:start + _CAP_BLOCK // 2].T
-        C, anchor = _unit_rows(_cross_rows(V[i] - V[j], V[j] - V[k]), i)
-        yield np.stack([C, -C], axis=1).reshape(-1, 3), np.repeat(anchor, 2)
+    for start in range(0, len(triples), _CAP_BLOCK):
+        i, j, k = triples[start:start + _CAP_BLOCK].T
+        yield _unit_rows(_cross_rows(V[i] - V[j], V[j] - V[k]), i)
 
 
 class SphericalPolygon:
-    """Strictly convex spherical polygon with counterclockwise vertices."""
+    """Strictly convex spherical polygon with counterclockwise vertices.
+
+    Immutable: the vertex array is read-only, so reduced_check keeps the
+    witness it computes on the polygon and returns it again on a later call.
+    """
 
     def __init__(self, vertices: Sequence[SpherePoint]):
         verts = tuple(vertices)
         if len(verts) < 3:
             raise DomainError(f"need at least 3 vertices, got {len(verts)}")
-        V = np.array([p.vec for p in verts])
-        n = len(verts)
-        i = np.arange(n)
+        self._init(np.array([p.vec for p in verts]), verts)
+
+    @classmethod
+    def from_array(cls, V) -> "SphericalPolygon":
+        """The polygon of the rows of an (n, 3) array, each row normalized.
+
+        Rows are normalized the way SpherePoint normalizes, the square root
+        of (x*x + y*y) + z*z and then a division, so the result equals
+        SphericalPolygon([SpherePoint.from_vec(v) for v in V]) bit for bit
+        and raises what it raises, without a SpherePoint per vertex.
+        """
+        V = np.asarray(V, dtype=float)
+        x, y, z = V.T
+        norm = np.sqrt((x * x + y * y) + z * z)
+        short = np.flatnonzero(norm < 1e-12)
+        if short.size:
+            raise DegeneratePoint(
+                f"vector too short to normalize (norm={float(norm[short[0]])!r})")
+        if len(V) < 3:
+            raise DomainError(f"need at least 3 vertices, got {len(V)}")
+        polygon = cls.__new__(cls)
+        polygon._init(V / norm[:, None], None)
+        return polygon
+
+    def _init(self, V: np.ndarray, verts: Optional[tuple[SpherePoint, ...]]) -> None:
+        """Validate the unit rows V, then own them read-only."""
+        n = len(V)
+        nxt = _ring_indices(n)[0]
         # Neighbour dots by matmul, which rounds like the 1-D dot product.
-        nxt_dots = (V[:, None, :] @ V[(i + 1) % n, :, None])[:, 0, 0]
+        nxt_dots = (V[:, None, :] @ V[nxt, :, None])[:, 0, 0]
         touching = np.flatnonzero(np.abs(nxt_dots) >= 1.0 - _SIGN_EPS)
         if touching.size:
             first = int(touching[0])
             raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
         dots = V @ edge_poles(V).T  # [vertex j, edge i]
-        on_edge = (i[:, None] == i) | (i[:, None] == (i + 1) % n)
+        i = np.arange(n)
+        on_edge = (i[:, None] == i) | (i[:, None] == nxt)
         if not np.all((dots > _SIGN_EPS) | on_edge):
             raise NotConvex(
                 "vertex on the wrong side of an edge circle "
                 "(polygon non-convex or ordered clockwise)"
             )
-        centroid = V.mean(axis=0)
+        centroid = np.add.reduce(V, axis=0) / n
         norm = float(np.linalg.norm(centroid))
         if norm < _SIGN_EPS or not np.all(V @ (centroid / norm) > _SIGN_EPS):
             raise NotInHemisphere("no open hemisphere contains every vertex")
-        self._vertices = verts
+        V.flags.writeable = False
         self._array = V
+        self._vertices = verts
+        # reduced_check's witnesses, by tolerance.
+        self._witnesses: dict[float, ReducedWitness] = {}
 
     @property
     def vertices(self) -> tuple[SpherePoint, ...]:
+        if self._vertices is None:
+            self._vertices = tuple(SpherePoint._unit(*v) for v in self._array.tolist())
         return self._vertices
 
     @property
     def n(self) -> int:
-        return len(self._vertices)
+        return len(self._array)
 
     def as_array(self) -> np.ndarray:
         return self._array.copy()
 
     def perimeter(self) -> float:
         V = self._array
-        return float(np.sum(_angles(V, np.roll(V, -1, axis=0))))
+        return float(np.sum(_angles(V, V[_ring_indices(self.n)[0]])))
 
     def thickness(self) -> float:
         """Width of the thinnest lune containing the polygon.
@@ -198,9 +249,8 @@ class SphericalPolygon:
         V = self._array
         n = self.n
         if reduced_hint and n % 2 == 1:
-            i = np.arange(n)
-            return float(np.max(_angles(V, V[(i + (n - 1) // 2) % n])))
-        a, b = np.triu_indices(n, k=1)
+            return float(np.max(_angles(V, V[_ring_indices(n)[1]])))
+        a, b = _index_combinations(n, 2).T
         return float(np.max(_angles(V[a], V[b])))
 
     def circumcap(self) -> "Cap":
@@ -209,11 +259,14 @@ class SphericalPolygon:
         Brute force over the O(n^2) two-point caps and O(n^3) three-point
         caps, as array code over all candidate centres.  The candidates are
         every pair midpoint, in combinations order, then every triple's
-        +-(v_i - v_j) x (v_j - v_k), in combinations order with + before -;
-        pairs and triples whose direction is shorter than _SIGN_EPS are
-        skipped.  A candidate counts when its own cap (radius to v_i) is at
-        most pi/2 and covers every vertex; of those, the first with the least
-        cover wins.  Candidates are scored in blocks of _CAP_BLOCK, so memory
+        c = (v_i - v_j) x (v_j - v_k), in combinations order; pairs and
+        triples whose direction is shorter than _SIGN_EPS are skipped.  A
+        candidate counts when its own cap (radius to v_i) is at most pi/2 and
+        covers every vertex; of those, the first with the least cover wins.
+        The centre -c of a triple is not a candidate: c . v_i = det(v_i, v_j,
+        v_k), which is positive for i < j < k of a counterclockwise strictly
+        convex polygon, so the cap around -c has a radius above pi/2 and
+        never counts.  Candidates are scored in blocks of _CAP_BLOCK, so memory
         stays bounded at n = 99.  Norms and dot products are batched matmuls,
         which round like 1-D dot products, so the cap is bit for bit the one
         a loop over candidates with 1-D dot products finds; the tests keep
@@ -240,7 +293,7 @@ class SphericalPolygon:
         return Cap(center=SpherePoint.from_vec(best_center), radius=best_cover)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SphericalPolygon) and self._vertices == other._vertices
+        return isinstance(other, SphericalPolygon) and np.array_equal(self._array, other._array)
 
     def __repr__(self) -> str:
         return f"SphericalPolygon(n={self.n})"
@@ -312,6 +365,18 @@ def reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL) -> Reduce
     strictly interior to its side, and the spread of the
     vertex-to-opposite-side distances stays within tol.
 
+    The witness is computed once per polygon and tol: polygons are
+    immutable, so a later call returns the same witness object.
+    """
+    witness = polygon._witnesses.get(tol)
+    if witness is None:
+        witness = polygon._witnesses[tol] = _measure_reduced(polygon, tol)
+    return witness
+
+
+def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
+    """The witness of reduced_check, computed afresh.
+
     All vertices are handled at once on the (n, 3) vertex array.  With
     (v_j, v_k) the side opposite v_i and p its unit pole, the foot t_i is
     v_i - (v_i . p) p, normalized.  It is interior when its signed arc
@@ -345,35 +410,35 @@ def reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL) -> Reduce
     if _degenerate(h):
         raise DegenerateProjection("point coincides with a circle pole")
     F = V - h[:, None] * P
-    F /= np.linalg.norm(F, axis=1, keepdims=True)
+    F /= _norm_rows(F)[:, None]
     vf = _dots(V, F)
     vk = _dots(V, V[k])
     if _degenerate(vf) or _degenerate(vk):
         raise DegenerateAngle("ray endpoint coincident or antipodal with vertex")
 
     # Spoke poles q_i and the unit tangent at v_j along its side.
-    X = _cross_rows(np.vstack([V, P]), np.vstack([F, V[j]]))
-    Q = X[:n] / np.linalg.norm(X[:n], axis=1, keepdims=True)
+    X = _cross_rows(np.concatenate([V, P]), np.concatenate([F, V[j]]))
+    Q = X[:n] / _norm_rows(X[:n])[:, None]
     S = X[n:]
     # Crossing directions q_i x q_k, and the unit tangent at v_i along its spoke.
-    Y = _cross_rows(np.vstack([Q, Q]), np.vstack([Q[k], V]))
+    Y = _cross_rows(np.concatenate([Q, Q]), np.concatenate([Q[k], V]))
     C, T = Y[:n], Y[n:]
 
     # Tangents at v_i toward v_{i+1}, t_i and v_k, as in sphere_core.angle_at.
     # The vertical angle at a crossing, between its rays toward v_i and t_k,
     # is the angle between q_i and -q_k whichever sign the crossing takes.
-    nxt = np.roll(V, -1, axis=0)
+    nxt = V[_ring_indices(n)[0]]
     t_next = nxt - _dots(V, nxt)[:, None] * V
     t_foot = F - vf[:, None] * V
     t_far = V[k] - vk[:, None] * V
-    ang = _angles(np.vstack([V, V[j], t_next, t_foot, Q]),
-                  np.vstack([F, V[k], t_foot, t_far, -Q[k]]))
+    ang = _angles(np.concatenate([V, V[j], t_next, t_foot, Q]),
+                  np.concatenate([F, V[k], t_foot, t_far, -Q[k]]))
     dist, side, alpha, beta, phi = ang.reshape(5, n)
 
     theta = _arc_parameter(F, V[j], S)
     interior = (EDGE_EPS * side < theta) & (theta < (1.0 - EDGE_EPS) * side)
 
-    c_norm = np.linalg.norm(C, axis=1)
+    c_norm = _norm_rows(C)
     crosses = c_norm >= 1e-12
     O = C / np.where(crosses, c_norm, 1.0)[:, None]
     slack = 0.5 * ON_ARC_TOL

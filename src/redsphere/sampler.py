@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,6 @@ from .polygon import (
     opposite_side_heights,
     reduced_check,
 )
-from .sphere_core import SpherePoint
 
 __all__ = ["Splitmix64", "SamplerConfig", "SampleResult", "sample_reduced", "sample_batch"]
 
@@ -85,8 +84,11 @@ class SamplerConfig:
     seed: int
     perturbation_scale: float = 0.05
     max_iterations: int = 200
-    # Shallow spoke crossings amplify distance residuals by up to ~1e4 in
-    # downstream claim checks, so stop well below the 1e-8 claim tolerances.
+    # Shallow spoke crossings amplify distance residuals by up to about 3e7
+    # in downstream claim checks (perimeter-witness-identity, measured on
+    # n = 9 and 15 samples), so stop far below the 1e-8 claim tolerances.
+    # At the worst crossings even this misses them; a lower tolerance leaves
+    # those samples unconverged instead.
     residual_tol: float = 1e-13
     damping: float = 1e-3
 
@@ -130,7 +132,11 @@ def _embed(params: np.ndarray, n: int, lon0: float) -> np.ndarray:
     lon[..., 0] = lon0
     lon[..., 1:] = params[..., n:]
     s = np.sin(colat)
-    return np.stack([s * np.cos(lon), s * np.sin(lon), np.cos(colat)], axis=-1)
+    V = np.empty(colat.shape + (3,))
+    np.multiply(s, np.cos(lon), out=V[..., 0])
+    np.multiply(s, np.sin(lon), out=V[..., 1])
+    V[..., 2] = np.cos(colat)
+    return V
 
 
 def _full_residual(params: np.ndarray, n: int, lon0: float, w: float) -> np.ndarray:
@@ -138,8 +144,17 @@ def _full_residual(params: np.ndarray, n: int, lon0: float, w: float) -> np.ndar
     V = _embed(params, n, lon0)
     r = np.empty(params.shape[:-1] + (n + 2,))
     r[..., :n] = opposite_side_heights(V) - w
-    r[..., n:] = V.mean(axis=-2)[..., :2]
+    # V.mean(axis=-2), whose sum and division these are, without its dispatch.
+    r[..., n:] = np.add.reduce(V, axis=-2)[..., :2] / n
     return r
+
+
+@lru_cache(maxsize=32)
+def _eye(p: int, scale: float = 1.0) -> np.ndarray:
+    """scale * np.eye(p), read-only."""
+    E = scale * np.eye(p)
+    E.flags.writeable = False
+    return E
 
 
 def _fd_jacobian(fun, params: np.ndarray) -> np.ndarray:
@@ -150,7 +165,7 @@ def _fd_jacobian(fun, params: np.ndarray) -> np.ndarray:
     those of differencing one column at a time, bit for bit.
     """
     p = params.size
-    E = _FD_STEP * np.eye(p)
+    E = _eye(p, _FD_STEP)
     R = fun(np.concatenate([params + E, params - E]))
     return ((R[:p] - R[p:]) / (2.0 * _FD_STEP)).T
 
@@ -158,7 +173,7 @@ def _fd_jacobian(fun, params: np.ndarray) -> np.ndarray:
 def _damped_step(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
     # Least-squares solve of the Levenberg system [J; sqrt(mu) I] d = [-r; 0].
     p = J.shape[1]
-    A = np.vstack([J, math.sqrt(mu) * np.eye(p)])
+    A = np.concatenate([J, math.sqrt(mu) * _eye(p)])
     b = np.concatenate([-r, np.zeros(p)])
     return np.linalg.lstsq(A, b, rcond=None)[0]
 
@@ -223,7 +238,7 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     witness: Optional[ReducedWitness] = None
     failure: Optional[str] = None if converged else (stall_reason or "max_iterations reached")
     try:
-        polygon = SphericalPolygon([SpherePoint.from_vec(v) for v in _embed(params, n, lon0)])
+        polygon = SphericalPolygon.from_array(_embed(params, n, lon0))
         witness = reduced_check(polygon, tol=REDUCED_TOL)
     except RedsphereError as exc:
         polygon = None

@@ -55,14 +55,23 @@ def _cross_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.subtract(A[..., _NEXT] * B[..., _PREV], A[..., _PREV] * B[..., _NEXT], order="C")
 
 
+def _norm_rows(A: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of A.
+
+    The formula of np.linalg.norm(A, axis=-1), so bit for bit its result,
+    without its argument handling, which dominates on the few rows of a
+    polygon.
+    """
+    return np.sqrt(np.add.reduce(A * A, axis=-1))
+
+
 def _angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise `_angle` of two (m, 3) arrays of nonzero rows.
 
     Each call has a fixed cost of some microseconds, so callers stack every
     angle of one computation into a single call.
     """
-    return np.arctan2(np.linalg.norm(_cross_rows(A, B), axis=1),
-                      np.einsum("ij,ij->i", A, B))
+    return np.arctan2(_norm_rows(_cross_rows(A, B)), np.einsum("ij,ij->i", A, B))
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,18 @@ class SpherePoint:
         object.__setattr__(self, "x", self.x / n)
         object.__setattr__(self, "y", self.y / n)
         object.__setattr__(self, "z", self.z / n)
+
+    @classmethod
+    def _unit(cls, x: float, y: float, z: float) -> "SpherePoint":
+        """The point of an already normalized vector, stored without renormalizing.
+
+        A second normalization moves the last bit of many unit vectors.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "x", x)
+        object.__setattr__(p, "y", y)
+        object.__setattr__(p, "z", z)
+        return p
 
     @classmethod
     def from_vec(cls, v) -> "SpherePoint":

@@ -340,9 +340,11 @@ def full_suite(samples: Sequence[SampleResult],
 
     Unconverged samples are rejections: recorded as sample-rejected rows
     (always passing, with the reason) and excluded from theorem claims.
-    Reducedness of each converged sample is re-derived here, so a corrupted
-    polygon fails its reduced-check row and is likewise excluded; no theorem
-    check runs on a polygon that did not pass reduced_check.
+    Reducedness of each converged sample comes from reduced_check of its
+    polygon, never from sample.witness, so a corrupted polygon fails its
+    reduced-check row and is likewise excluded; no theorem check runs on a
+    polygon that did not pass reduced_check.  For a sampled polygon that is
+    the witness the sampler computed, kept on the immutable polygon.
     """
     reports: list[VerificationReport] = []
     if include_formula_checks:

@@ -35,6 +35,21 @@ class TestArgumentValidation:
         code, _, _ = run(capsys, "lemmas", "--grid", "99")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("sample", "--n", "5", "--thickness", "pi/4", "--seed", "-1"), "seed must be >= 0"),
+        (("suite", "--seed", "-3"), "seed must be >= 0"),
+        (("sample", "--n", "5", "--thickness", "0.1"), "thickness must exceed 0.2"),
+        (("sample", "--n", "5", "--thickness", "0.2"), "thickness must exceed 0.2"),
+    ])
+    def test_bad_sampler_arguments_are_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1
+        assert message in errors[0]
+
 
 class TestRegular:
     def test_triangle_circumradius_matches_table(self, capsys):

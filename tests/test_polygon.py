@@ -24,6 +24,7 @@ from redsphere import (
     OMEGA_GRID,
     Cap,
     DegenerateAngle,
+    DegeneratePoint,
     DomainError,
     NoEnclosingCap,
     NotConvex,
@@ -238,6 +239,85 @@ class TestConstruction:
         assert clone == pentagon
         assert "SphericalPolygon" in repr(pentagon)
 
+    def test_vertex_array_is_read_only(self, pentagon):
+        with pytest.raises(ValueError):
+            pentagon._array[0, 0] = 0.0
+        copy = pentagon.as_array()
+        copy[0, 0] = 0.0
+        assert copy[0, 0] == 0.0
+        assert pentagon._array[0, 0] != 0.0
+
+
+def _old_build(V):
+    """The object path that SphericalPolygon.from_array replaces."""
+    return SphericalPolygon([SpherePoint.from_vec(v) for v in V])
+
+
+def _raised(build, V):
+    with pytest.raises(Exception) as info:
+        build(V)
+    return type(info.value), str(info.value)
+
+
+def _renormalization_moves(V):
+    """Rows whose normalized vector moves when normalized again."""
+    once = [SpherePoint.from_vec(v) for v in V]
+    return sum(SpherePoint.from_vec(p.vec) != p for p in once)
+
+
+class TestFromArray:
+    def _assert_same(self, V):
+        got, want = SphericalPolygon.from_array(V), _old_build(V)
+        assert got._array.tobytes() == want._array.tobytes()
+        assert got.vertices == want.vertices
+        assert got == want and want == got
+        assert not got._array.flags.writeable
+
+    def test_non_unit_rows(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 5, 7, 21):
+            V = build_regular(n, math.pi / 6).as_array()
+            V *= rng.uniform(1e-6, 1e6, size=(n, 1))
+            self._assert_same(V)
+
+    def test_rows_a_second_normalization_would_move(self):
+        moved = 0
+        for seed in range(40):
+            res = sample_reduced(SamplerConfig(n=7, thickness=QUARTER_PI, seed=seed))
+            if res.polygon is None:
+                continue
+            V = res.polygon.as_array() * (1.0 + 1e-9 * seed)
+            moved += _renormalization_moves(V)
+            self._assert_same(V)
+        assert moved > 0
+
+    def test_equality_is_by_array(self, pentagon):
+        V = pentagon.as_array()
+        assert SphericalPolygon.from_array(V) == pentagon
+        V[2, 0] = np.nextafter(V[2, 0], 1.0)
+        assert SphericalPolygon.from_array(V) != pentagon
+
+    @pytest.mark.parametrize("case", ["degenerate", "few", "clockwise", "hemisphere"])
+    def test_same_errors_as_the_object_path(self, case):
+        V = build_regular(5, QUARTER_PI).as_array()
+        if case == "degenerate":
+            V[3] = [1e-13, 0.0, 0.0]
+        elif case == "few":
+            V = V[:2]
+        elif case == "clockwise":
+            V = V[::-1]
+        else:
+            # Counterclockwise and convex, but two vertices near the antipode of the first.
+            t = 0.3
+            V = np.array([[0.0, 0.0, 1.0], [math.sin(t), 0.0, -math.cos(t)],
+                          [math.sin(t) * math.cos(1.0), math.sin(t) * math.sin(1.0),
+                           -math.cos(t)]])
+        got = _raised(SphericalPolygon.from_array, V)
+        assert got == _raised(_old_build, V)
+        want = {"degenerate": DegeneratePoint, "few": DomainError,
+                "clockwise": NotConvex, "hemisphere": NotInHemisphere}[case]
+        assert issubclass(got[0], want)
+
 
 class TestOppositeSide:
     def test_triangle(self):
@@ -312,6 +392,13 @@ class TestReducedCheck:
         assert w.is_reduced
         assert w.max_residual < 1e-7
         assert all(0.0 < phi < 0.5 * math.pi for phi in w.crossing_angles)
+
+    def test_witness_computed_once_per_tolerance(self, crooked_heptagon):
+        w = reduced_check(crooked_heptagon)
+        assert reduced_check(crooked_heptagon) is w
+        assert reduced_check(crooked_heptagon, tol=REDUCED_TOL) is w
+        loose = reduced_check(crooked_heptagon, tol=1e-3)
+        assert loose is not w and reduced_check(crooked_heptagon, tol=1e-3) is loose
 
     def test_witness_thickness_matches_polygon_thickness(self, crooked_heptagon):
         w = reduced_check(crooked_heptagon)
@@ -513,16 +600,17 @@ class TestCircumcap:
         for P in polygons:
             _assert_same_cap(P.circumcap(), reference_circumcap(P))
 
-    def test_winner_in_a_later_triple_block(self):
+    def test_winner_in_a_later_triple_block(self, monkeypatch):
         # Three vertices at colatitude 0.5 fix the cap; their triple (7, 14, 20)
-        # comes after the first _CAP_BLOCK // 2 triples.
+        # comes after the first block of triples.
+        monkeypatch.setattr(polygon_module, "_CAP_BLOCK", 1024)
         far = (7, 14, 20)
         P = SphericalPolygon([SpherePoint.from_spherical(0.5 if k in far else 0.49,
                                                          2.0 * math.pi * k / 21)
                               for k in range(21)])
         triples = _index_combinations(21, 3).tolist()
-        assert len(triples) > _CAP_BLOCK // 2
-        assert triples.index(list(far)) >= _CAP_BLOCK // 2
+        assert len(triples) > polygon_module._CAP_BLOCK
+        assert triples.index(list(far)) >= polygon_module._CAP_BLOCK
         cap = P.circumcap()
         _assert_same_cap(cap, reference_circumcap(P))
         assert cap.radius == pytest.approx(0.5, abs=1e-12)
@@ -533,6 +621,23 @@ class TestCircumcap:
         polygons = [build_regular(n, w) for n in (3, 5, 7, 9) for w in OMEGA_GRID]
         for P in polygons + [crooked_heptagon]:
             _assert_same_cap(P.circumcap(), reference_circumcap(P))
+
+    def test_negated_triple_centres_never_count(self):
+        # circumcap scores only +c of each triple; -c, which the loop oracle
+        # still scores, never passes the filter on a valid polygon.
+        polygons = [build_regular(n, w) for n in range(3, 22, 2) for w in OMEGA_GRID]
+        polygons += _random_hulls(60, seed=11)
+        slack = 1e-12
+        for P in polygons:
+            V = P.as_array()
+            i, j, k = _index_combinations(P.n, 3).T
+            C = np.cross(V[i] - V[j], V[j] - V[k])
+            C = -C / np.linalg.norm(C, axis=1, keepdims=True)
+            radius = np.arccos(np.clip(np.einsum("ij,ij->i", C, V[i]), -1.0, 1.0))
+            cover = np.arccos(np.clip(C @ V.T, -1.0, 1.0)).max(axis=1)
+            passing = (radius <= 0.5 * math.pi + slack) & (cover <= radius + slack)
+            assert not passing.any()
+            assert radius.min() > 0.5 * math.pi
 
     def test_ninety_nine_vertices_supported(self):
         w = math.pi / 6

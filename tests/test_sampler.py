@@ -113,6 +113,10 @@ class TestSampleReduced:
         assert "interior" in res.failure_reason
         assert res.witness is not None and not res.witness.is_reduced
 
+    def test_witness_is_the_polygons_reduced_check(self):
+        res = sample_reduced(SamplerConfig(n=7, thickness=QUARTER_PI, seed=5))
+        assert res.witness is reduced_check(res.polygon)
+
     def test_residual_history_recorded(self):
         res = sample_reduced(SamplerConfig(n=5, thickness=QUARTER_PI, seed=3))
         assert len(res.residual_history) == res.iterations + 1

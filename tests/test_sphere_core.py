@@ -17,7 +17,7 @@ from redsphere import (
     angle_at,
     distance,
 )
-from redsphere.sphere_core import ON_ARC_TOL, SEPARATION_TOL, _cross
+from redsphere.sphere_core import ON_ARC_TOL, SEPARATION_TOL, _cross, _norm_rows
 
 
 # Great circles and arcs as objects.  No library code uses them; they are
@@ -158,6 +158,18 @@ class TestSpherePoint:
     def test_from_spherical(self):
         p = SpherePoint.from_spherical(0.5 * math.pi, 0.0)
         assert distance(p, EX) < 1e-15
+
+
+class TestNormRows:
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 3), (26, 3), (26, 7, 3), (4, 21, 3)])
+    def test_bit_for_bit_numpy_norm(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for scale in (1e-9, 1.0, 1e9):
+            A = scale * rng.standard_normal(shape)
+            assert np.array_equal(_norm_rows(A), np.linalg.norm(A, axis=-1))
+            # Strided views, as the kernels pass them.
+            assert np.array_equal(_norm_rows(A[..., ::2, :]),
+                                  np.linalg.norm(A[..., ::2, :], axis=-1))
 
 
 class TestDistance:

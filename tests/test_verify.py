@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -154,6 +155,13 @@ class TestFullSuite:
         assert "sample=1" in failures[0].inputs
         theorem_rows = [r for r in reports if "sample=1" in r.inputs]
         assert theorem_rows == failures
+
+    def test_borrowed_witness_is_not_trusted(self, crooked_sample):
+        corrupted = _corrupted_sample()
+        assert crooked_sample.witness.is_reduced
+        forged = replace(corrupted, witness=crooked_sample.witness)
+        reports = full_suite([forged], include_formula_checks=False)
+        assert [(r.claim_id, r.passed) for r in reports] == [("reduced-check", False)]
 
     def test_formula_checks_run_without_samples(self):
         reports = full_suite([])
