@@ -76,6 +76,16 @@ def _sample_thickness(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse tolerance {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"tol must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _int_at_least(name: str, floor: int):
     """An argparse type: an integer >= floor, called name in the error."""
     def parse(text: str) -> int:
@@ -120,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check reducedness and every claim")
     p.add_argument("--in", dest="path", required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_tolerance, default=1e-7)
 
     p = sub.add_parser("table1", help="print the covering-radius table")
     p.add_argument("--format", choices=("json", "csv"), default="json")

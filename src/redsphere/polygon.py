@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
 from typing import Optional, Sequence
@@ -37,7 +37,6 @@ from .sphere_core import (
     _angles,
     _cross_rows,
     _norm_rows,
-    distance,
 )
 
 __all__ = [
@@ -310,35 +309,43 @@ class Cap:
         if not 0.0 < self.radius <= 0.5 * math.pi:
             raise DomainError(f"cap radius {self.radius!r} outside (0, pi/2]")
 
-    def contains(self, p: SpherePoint, tol: float = 0.0) -> bool:
-        return distance(self.center, p) <= self.radius + tol
+
+# The feet and crossings of a witness without vertices (read-only).
+_NO_POINTS = np.empty((0, 3))
+_NO_POINTS.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedWitness:
     """Everything reduced_check measures about one polygon.
 
-    Per-vertex records (all empty for even vertex counts, which fail
-    immediately): the foot of the projection onto the opposite side's
-    great circle, its distance, whether it sits strictly inside the side,
-    the spoke crossing point o_i (None when the spokes fail to cross), and
-    three angles: at vertex i between the forward edge and the spoke
-    (edge_foot_angles), between the spoke and the diagonal to the far
-    vertex (foot_diagonal_angles), and the vertical angle at the crossing
-    (crossing_angles, NaN when the crossing is missing).
+    Per vertex i, with k = i + (n + 1)/2 (empty for even vertex counts,
+    which fail immediately): the foot t_i on the opposite side, its
+    distance and whether it lies strictly inside the side; the spoke
+    crossing o_i; the angles at v_i between the forward edge and the spoke
+    (edge_foot_angles) and between the spoke and the diagonal to v_k
+    (foot_diagonal_angles); at v_k between the arcs toward v_i and t_i
+    (far_angles, NaN when t_i lies on v_k); |v_i t_k| - |t_i v_k|
+    (boundary_arc_gaps); the vertical angle at o_i (crossing_angles) and
+    |o_i t_i| (crossing_foot_distances).  feet and crossings are read-only
+    (n, 3) arrays, so equality is identity; a missing crossing is a NaN
+    row, with NaN in its two crossing fields.
     """
 
-    feet: tuple[SpherePoint, ...]
-    foot_distances: tuple[float, ...]
-    foot_interior: tuple[bool, ...]
-    crossings: tuple[Optional[SpherePoint], ...]
-    edge_foot_angles: tuple[float, ...]
-    foot_diagonal_angles: tuple[float, ...]
-    crossing_angles: tuple[float, ...]
     thickness: float
     is_reduced: bool
     max_residual: float
     reason: Optional[str]
+    feet: np.ndarray = field(default_factory=lambda: _NO_POINTS)
+    foot_distances: tuple[float, ...] = ()
+    foot_interior: tuple[bool, ...] = ()
+    crossings: np.ndarray = field(default_factory=lambda: _NO_POINTS)
+    edge_foot_angles: tuple[float, ...] = ()
+    foot_diagonal_angles: tuple[float, ...] = ()
+    far_angles: tuple[float, ...] = ()
+    boundary_arc_gaps: tuple[float, ...] = ()
+    crossing_angles: tuple[float, ...] = ()
+    crossing_foot_distances: tuple[float, ...] = ()
 
 
 def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -386,23 +393,13 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     closed spokes is taken.  A point x at signed parameter s on the great
     circle of an arc (a, b) of length D has d(a, x) + d(x, b) - D equal to
     2 max(-s, s - D, 0), so a slack of ON_ARC_TOL on that arc-length sum
-    allows s in [-ON_ARC_TOL/2, D + ON_ARC_TOL/2].
+    allows s in [-ON_ARC_TOL/2, D + ON_ARC_TOL/2].  Every angle and arc comes
+    from one stacked _angles call, |o_i t_i| for both signs of the crossing.
     """
     n = polygon.n
     if n % 2 == 0:
-        return ReducedWitness(
-            feet=(),
-            foot_distances=(),
-            foot_interior=(),
-            crossings=(),
-            edge_foot_angles=(),
-            foot_diagonal_angles=(),
-            crossing_angles=(),
-            thickness=polygon.thickness(),
-            is_reduced=False,
-            max_residual=math.nan,
-            reason=f"not an odd-gon: n={n}",
-        )
+        return ReducedWitness(thickness=polygon.thickness(), is_reduced=False,
+                              max_residual=math.nan, reason=f"not an odd-gon: n={n}")
 
     V = polygon._array
     j, k, P = _opposite_poles(V)
@@ -411,10 +408,12 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
         raise DegenerateProjection("point coincides with a circle pole")
     F = V - h[:, None] * P
     F /= _norm_rows(F)[:, None]
+    Vk, Fk = V[k], F[k]
     vf = _dots(V, F)
-    vk = _dots(V, V[k])
+    vk = _dots(V, Vk)
     if _degenerate(vf) or _degenerate(vk):
         raise DegenerateAngle("ray endpoint coincident or antipodal with vertex")
+    kf = _dots(Vk, F)
 
     # Spoke poles q_i and the unit tangent at v_j along its side.
     X = _cross_rows(np.concatenate([V, P]), np.concatenate([F, V[j]]))
@@ -423,29 +422,31 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     # Crossing directions q_i x q_k, and the unit tangent at v_i along its spoke.
     Y = _cross_rows(np.concatenate([Q, Q]), np.concatenate([Q[k], V]))
     C, T = Y[:n], Y[n:]
+    c_norm = _norm_rows(C)
+    crosses = c_norm >= 1e-12
+    O = C / np.where(crosses, c_norm, 1.0)[:, None]
 
-    # Tangents at v_i toward v_{i+1}, t_i and v_k, as in sphere_core.angle_at.
-    # The vertical angle at a crossing, between its rays toward v_i and t_k,
-    # is the angle between q_i and -q_k whichever sign the crossing takes.
+    # Tangents at v_i toward v_{i+1}, t_i and v_k and at v_k toward v_i and t_i,
+    # as in sphere_core.angle_at.  The vertical angle at a crossing, between its
+    # rays toward v_i and t_k, is the angle between q_i and -q_k for either sign.
     nxt = V[_ring_indices(n)[0]]
     t_next = nxt - _dots(V, nxt)[:, None] * V
     t_foot = F - vf[:, None] * V
-    t_far = V[k] - vk[:, None] * V
-    ang = _angles(np.concatenate([V, V[j], t_next, t_foot, Q]),
-                  np.concatenate([F, V[k], t_foot, t_far, -Q[k]]))
-    dist, side, alpha, beta, phi = ang.reshape(5, n)
+    t_far = Vk - vk[:, None] * V
+    u_near = V - vk[:, None] * Vk
+    u_foot = F - kf[:, None] * Vk
+    ang = _angles(np.concatenate([V, V[j], t_next, t_foot, Q, u_near, V, F, O, -O]),
+                  np.concatenate([F, Vk, t_foot, t_far, -Q[k], u_foot, Fk, Vk, F, F]))
+    dist, side, alpha, beta, phi, far, near_arc, far_arc, o_plus, o_minus = ang.reshape(10, n)
 
     theta = _arc_parameter(F, V[j], S)
     interior = (EDGE_EPS * side < theta) & (theta < (1.0 - EDGE_EPS) * side)
 
-    c_norm = _norm_rows(C)
-    crosses = c_norm >= 1e-12
-    O = C / np.where(crosses, c_norm, 1.0)[:, None]
     slack = 0.5 * ON_ARC_TOL
 
     def on_both_spokes(cand: np.ndarray) -> np.ndarray:
         s_i = _arc_parameter(cand, V, T)
-        s_k = _arc_parameter(cand, V[k], T[k])
+        s_k = _arc_parameter(cand, Vk, T[k])
         return ((-slack <= s_i) & (s_i <= dist + slack)
                 & (-slack <= s_k) & (s_k <= dist[k] + slack))
 
@@ -455,8 +456,13 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     crosses &= plus | minus
     # As in angle_at, a crossing on v_i or t_k leaves its vertical angle undefined.
     crosses &= (np.abs(_dots(O, V)) < 1.0 - SEPARATION_TOL) & (
-        np.abs(_dots(O, F[k])) < 1.0 - SEPARATION_TOL)
+        np.abs(_dots(O, Fk)) < 1.0 - SEPARATION_TOL)
     phi = np.where(crosses, phi, math.nan)
+    # As in angle_at, a foot t_i on v_k leaves the angle at v_k undefined.
+    far = np.where(np.abs(kf) < 1.0 - SEPARATION_TOL, far, math.nan)
+    o_foot = np.where(crosses, np.where(minus, o_minus, o_plus), math.nan)
+    O[~crosses] = math.nan
+    F.flags.writeable = O.flags.writeable = False
 
     thickness = float(np.min(dist))
     spread = float(np.max(dist)) - thickness
@@ -467,15 +473,20 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
         reason = f"distance spread {spread:.3e} exceeds tolerance {tol:.1e}"
     else:
         reason = None
+        if _degenerate(kf):
+            # The claims read the far angles of every polygon that passes.
+            raise DegenerateAngle("ray endpoint coincident or antipodal with vertex")
     return ReducedWitness(
-        feet=tuple(SpherePoint(*f) for f in F.tolist()),
+        feet=F,
         foot_distances=tuple(dist.tolist()),
         foot_interior=tuple(interior.tolist()),
-        crossings=tuple(SpherePoint(*o) if ok else None
-                        for o, ok in zip(O.tolist(), crosses.tolist())),
+        crossings=O,
         edge_foot_angles=tuple(alpha.tolist()),
         foot_diagonal_angles=tuple(beta.tolist()),
+        far_angles=tuple(far.tolist()),
+        boundary_arc_gaps=tuple((near_arc - far_arc).tolist()),
         crossing_angles=tuple(phi.tolist()),
+        crossing_foot_distances=tuple(o_foot.tolist()),
         thickness=thickness,
         is_reduced=all_interior and spread <= tol,
         max_residual=spread,

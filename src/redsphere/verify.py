@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import RedsphereError
+from .errors import DomainError, RedsphereError
 from .formulas import (
     arm_from_angle,
     arm_length,
@@ -59,7 +59,6 @@ from .formulas import (
 )
 from .polygon import ReducedWitness, SphericalPolygon, reduced_check
 from .sampler import SampleResult
-from .sphere_core import angle_at, distance
 
 __all__ = [
     "VerificationReport",
@@ -167,31 +166,12 @@ def _jung_floor(radius: float) -> float:
     return 2.0 * math.asin(min(1.0, 0.5 * math.sqrt(3.0) * math.sin(radius)))
 
 
-def _perimeter_min(perimeter: float, n: int, thickness: float, tag: str) -> VerificationReport:
-    """Perimeter of a reduced polygon >= perimeter of the regular one."""
-    bound = regular_metrics(n, thickness).perimeter
-    return _report("perimeter-min", tag, perimeter, bound, TOL_FORMULA, "ge")
-
-
-def _diameter(diameter: float, thickness: float, tag: str) -> VerificationReport:
-    """Diameter <= sharp bound; the coarse-bound slack is noted in inputs."""
-    gap = diameter_bound_coarse(thickness) - diameter_bound(thickness)
-    tag = f"{tag} coarse_gap={gap:.9g}"
-    return _report("diameter-bound", tag, diameter,
-                   diameter_bound(thickness), TOL_FORMULA, "le")
-
-
-def _circumradius(radius: float, diameter: float, thickness: float,
-                  tag: str) -> VerificationReport:
-    """Smallest enclosing cap radius <= the covering bound."""
-    tag = f"{tag} jung_slack={diameter - _jung_floor(radius):.9g}"
-    return _report("circumradius-bound", tag, radius,
-                   covering_radius_bound(thickness), TOL_CAP, "le")
-
-
-def _jung(diameter: float, radius: float, tag: str) -> VerificationReport:
-    """Two-point Jung relation: diameter >= 2 arcsin(sqrt(3)/2 sin r)."""
-    return _report("jung-relation", tag, diameter, _jung_floor(radius), TOL_FORMULA, "ge")
+def _arm(arm, value: float, lam: float) -> float:
+    """arm(value, lam), or NaN, which fails the claim, outside arm's domain."""
+    try:
+        return arm(value, lam)
+    except DomainError:
+        return math.nan
 
 
 def check_bound_gap(thickness: float) -> VerificationReport:
@@ -272,11 +252,16 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
     perimeter = P.perimeter()
     diameter = P.diameter(reduced_hint=True)
     radius = P.circumcap().radius
+    jung_floor = _jung_floor(radius)
+    coarse_gap = diameter_bound_coarse(thickness) - diameter_bound(thickness)
     out = [
-        _perimeter_min(perimeter, n, thickness, tag),
-        _diameter(diameter, thickness, tag),
-        _circumradius(radius, diameter, thickness, tag),
-        _jung(diameter, radius, tag),
+        _report("perimeter-min", tag, perimeter,
+                regular_metrics(n, thickness).perimeter, TOL_FORMULA, "ge"),
+        _report("diameter-bound", f"{tag} coarse_gap={coarse_gap:.9g}", diameter,
+                diameter_bound(thickness), TOL_FORMULA, "le"),
+        _report("circumradius-bound", f"{tag} jung_slack={diameter - jung_floor:.9g}",
+                radius, covering_radius_bound(thickness), TOL_CAP, "le"),
+        _report("jung-relation", tag, diameter, jung_floor, TOL_FORMULA, "ge"),
         _report("thickness-agreement", tag,
                 abs(P.thickness() - witness.thickness), 0.0, 1e-9, "le"),
         _report("thickness-range", tag, witness.thickness, 0.5 * math.pi, 1e-10, "le"),
@@ -286,23 +271,17 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
                 max(witness.foot_diagonal_angles), g, TOL_FORMULA, "le"),
         _report("angle-sandwich-upper", tag,
                 min(witness.edge_foot_angles), g, TOL_FORMULA, "ge"),
+        _report("congruent-angle-sum", tag,
+                max(abs(far - (a + b)) for far, a, b in zip(
+                    witness.far_angles, witness.edge_foot_angles,
+                    witness.foot_diagonal_angles)),
+                0.0, TOL_FORMULA, "le"),
+        _report("boundary-arc-equality", tag,
+                max(abs(gap) for gap in witness.boundary_arc_gaps), 0.0, TOL_FORMULA, "le"),
     ]
 
-    verts = P.vertices
-    cong = 0.0
-    arc_eq = 0.0
-    for i in range(n):
-        k2 = (i + (n + 1) // 2) % n
-        far = angle_at(verts[k2], verts[i], witness.feet[i])
-        cong = max(cong, abs(far - (witness.edge_foot_angles[i]
-                                    + witness.foot_diagonal_angles[i])))
-        arc_eq = max(arc_eq, abs(distance(verts[i], witness.feet[k2])
-                                 - distance(witness.feet[i], verts[k2])))
-    out.append(_report("congruent-angle-sum", tag, cong, 0.0, TOL_FORMULA, "le"))
-    out.append(_report("boundary-arc-equality", tag, arc_eq, 0.0, TOL_FORMULA, "le"))
-
     phis = witness.crossing_angles
-    if all(not math.isnan(p) for p in phis) and all(o is not None for o in witness.crossings):
+    if all(not math.isnan(p) for p in phis):
         margin = min(min(phis), 0.5 * math.pi - max(phis))
         out.append(_report("crossing-angle-range", tag, margin, 0.0, 0.0, "gt"))
         total = sum(phis)
@@ -315,16 +294,14 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
             out.append(_report("crossing-angle-sum-strict", tag, total, math.pi, 1e-9, "gt"))
         # Spoke-decomposition identity: geometric perimeter equals twice the
         # summed arms of the crossing parameters y_i = tan|o_i t_i|.
-        arms = 0.0
-        for o, foot in zip(witness.crossings, witness.feet):
-            assert o is not None
-            arms += arm_length(math.tan(distance(o, foot)), lam)
+        arms = sum(_arm(arm_length, math.tan(y), lam)
+                   for y in witness.crossing_foot_distances)
         out.append(_report("perimeter-witness-identity", tag,
                            perimeter, 2.0 * arms, TOL_FORMULA, "eq"))
         mean_phi = sum(phis) / n
         out.append(_report("perimeter-jensen", tag,
-                           2.0 * sum(arm_from_angle(p, lam) for p in phis),
-                           2.0 * n * arm_from_angle(mean_phi, lam), 1e-9, "ge"))
+                           2.0 * sum(_arm(arm_from_angle, p, lam) for p in phis),
+                           2.0 * n * _arm(arm_from_angle, mean_phi, lam), 1e-9, "ge"))
     else:
         out.append(_report("crossing-angle-range", tag, math.nan, 0.0, 0.0, "gt"))
     return out

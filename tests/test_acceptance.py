@@ -72,7 +72,8 @@ def test_criterion_03_perimeter_equals_twice_summed_arms(sample_grid):
             verts = s.polygon.vertices
             perim = sum(distance(verts[i], verts[(i + 1) % n]) for i in range(n))
             arms = sum(
-                arm_length(math.tan(distance(o, t)), lam)
+                arm_length(math.tan(distance(SpherePoint.from_vec(o), SpherePoint.from_vec(t))),
+                           lam)
                 for o, t in zip(s.witness.crossings, s.witness.feet))
             assert perim == pytest.approx(2.0 * arms, abs=1e-8), (n, omega)
             checked += 1
@@ -152,10 +153,11 @@ def test_criterion_08_structural_witness_invariants(sample_grid):
             if spread > 1e-6 and total - math.pi <= 1e-9:
                 violations += 1
             verts = s.polygon.vertices
+            feet = [SpherePoint.from_vec(t) for t in w.feet]
             for i in range(n):
                 k2 = (i + (n + 1) // 2) % n
-                gap = abs(distance(verts[i], w.feet[k2])
-                          - distance(w.feet[i], verts[k2]))
+                gap = abs(distance(verts[i], feet[k2])
+                          - distance(feet[i], verts[k2]))
                 if gap > 1e-8:
                     violations += 1
     assert violations == 0

@@ -7,6 +7,7 @@ import pytest
 
 from redsphere.cli import main
 from redsphere.polygon import build_regular, save_polygon
+from test_verify import pulled_pentagon
 
 
 def run(capsys, *argv):
@@ -40,6 +41,11 @@ class TestArgumentValidation:
         (("suite", "--seed", "-3"), "seed must be >= 0"),
         (("sample", "--n", "5", "--thickness", "0.1"), "thickness must exceed 0.2"),
         (("sample", "--n", "5", "--thickness", "0.2"), "thickness must exceed 0.2"),
+        (("verify", "--in", "p.json", "--tol", "nan"), "tol must be a finite number > 0"),
+        (("verify", "--in", "p.json", "--tol", "inf"), "tol must be a finite number > 0"),
+        (("verify", "--in", "p.json", "--tol", "-1"), "tol must be a finite number > 0"),
+        (("verify", "--in", "p.json", "--tol", "0"), "tol must be a finite number > 0"),
+        (("verify", "--in", "p.json", "--tol", "tight"), "cannot parse tolerance"),
     ])
     def test_bad_sampler_arguments_are_usage_errors(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -110,6 +116,20 @@ class TestVerifyFailures:
         code, _, err = run(capsys, "verify", "--in", path)
         assert code == 3
         assert err.strip()
+
+    def test_claim_outside_a_formula_domain_fails_its_row(self, capsys, tmp_path):
+        # Under a loose tol a pentagon with one vertex pulled out counts as
+        # reduced; one of its crossing parameters lies past x_limit.
+        path = str(tmp_path / "pulled.json")
+        save_polygon(path, pulled_pentagon())
+        code, out, err = run(capsys, "verify", "--in", path, "--tol", "1.0")
+        assert code == 1
+        assert "error:" not in err
+        payload = json.loads(out)
+        assert payload["is_reduced"] is True
+        claims = {c["claim_id"]: c for c in payload["claims"]}
+        assert claims["perimeter-witness-identity"]["passed"] is False
+        assert math.isnan(claims["perimeter-witness-identity"]["bound"])
 
     def test_missing_file_is_an_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "metrics", "--in", str(tmp_path / "absent.json"))

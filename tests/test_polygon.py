@@ -85,19 +85,8 @@ def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL)
     """
     n = polygon.n
     if n % 2 == 0:
-        return ReducedWitness(
-            feet=(),
-            foot_distances=(),
-            foot_interior=(),
-            crossings=(),
-            edge_foot_angles=(),
-            foot_diagonal_angles=(),
-            crossing_angles=(),
-            thickness=polygon.thickness(),
-            is_reduced=False,
-            max_residual=math.nan,
-            reason=f"not an odd-gon: n={n}",
-        )
+        return ReducedWitness(thickness=polygon.thickness(), is_reduced=False,
+                              max_residual=math.nan, reason=f"not an odd-gon: n={n}")
 
     verts = polygon.vertices
     feet: list[SpherePoint] = []
@@ -130,6 +119,10 @@ def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL)
             phis.append(math.nan)
         crossings.append(o)
 
+    feet_rows = np.array([p.vec for p in feet])
+    crossing_rows = np.array([[math.nan] * 3 if o is None else o.vec for o in crossings])
+    far, gaps, crossing_feet = reference_vertex_claims(polygon, feet_rows, crossing_rows)
+
     thickness = min(dists)
     spread = max(dists) - thickness
     if not all(interior):
@@ -138,19 +131,56 @@ def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL)
         reason = f"distance spread {spread:.3e} exceeds tolerance {tol:.1e}"
     else:
         reason = None
+        if any(math.isnan(a) for a in far):
+            raise DegenerateAngle("ray endpoint coincident or antipodal with vertex")
     return ReducedWitness(
-        feet=tuple(feet),
+        feet=feet_rows,
         foot_distances=tuple(dists),
         foot_interior=tuple(interior),
-        crossings=tuple(crossings),
+        crossings=crossing_rows,
         edge_foot_angles=tuple(alphas),
         foot_diagonal_angles=tuple(betas),
+        far_angles=far,
+        boundary_arc_gaps=gaps,
         crossing_angles=tuple(phis),
+        crossing_foot_distances=crossing_feet,
         thickness=thickness,
         is_reduced=all(interior) and spread <= tol,
         max_residual=spread,
         reason=reason,
     )
+
+
+# The per-vertex loop that measured the claim inputs at v_k and o_i in
+# verify.polygon_reports, kept as the oracle of the witness fields.
+def reference_vertex_claims(polygon: SphericalPolygon, feet: np.ndarray,
+                            crossings: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """The far angles, boundary arc gaps and crossing-to-foot distances.
+
+    With k = i + (n + 1)/2: the angle at v_k between the arcs toward v_i and
+    t_i (NaN where angle_at raises), |v_i t_k| - |t_i v_k|, and |o_i t_i| (NaN
+    where the crossing row is NaN), from the rows of feet and crossings.
+    """
+    n = polygon.n
+    verts = polygon.vertices
+    points = [SpherePoint.from_vec(f) for f in feet]
+    far, gaps, crossing_feet = [], [], []
+    for i in range(n):
+        k2 = (i + (n + 1) // 2) % n
+        try:
+            far.append(angle_at(verts[k2], verts[i], points[i]))
+        except DegenerateAngle:
+            far.append(math.nan)
+        gaps.append(distance(verts[i], points[k2]) - distance(points[i], verts[k2]))
+        o = crossings[i]
+        crossing_feet.append(math.nan if np.isnan(o).any()
+                             else distance(SpherePoint.from_vec(o), points[i]))
+    return tuple(far), tuple(gaps), tuple(crossing_feet)
+
+
+def cap_contains(cap: Cap, p: SpherePoint, tol: float = 0.0) -> bool:
+    """Whether p lies in the closed cap, widened by tol."""
+    return distance(cap.center, p) <= cap.radius + tol
 
 
 # The per-candidate loop of SphericalPolygon.circumcap, kept as the oracle of
@@ -376,7 +406,7 @@ class TestReducedCheck:
         assert not w.is_reduced
         assert "not an odd-gon" in w.reason
         assert math.isnan(w.max_residual)
-        assert w.feet == ()
+        assert w.feet.shape == (0, 3)
 
     def test_pulled_vertex_breaks_distance_equality(self):
         P = build_regular(3, QUARTER_PI)
@@ -412,11 +442,45 @@ class TestReducedCheck:
             got, want = reduced_check(P), reference_reduced_check(P)
             assert (got.is_reduced, got.reason, got.foot_interior) == (
                 want.is_reduced, want.reason, want.foot_interior)
-            assert ([o is None for o in got.crossings]
-                    == [o is None for o in want.crossings])
+            assert _missing_crossings(got) == _missing_crossings(want)
             np.testing.assert_allclose(_witness_values(got), _witness_values(want),
                                        rtol=0.0, atol=1e-12)
 
+    def test_vertex_claims_match_scalar_reference(self, sample_grid):
+        polygons = [s.polygon for s in sample_grid.all_converged()]
+        polygons += [build_regular(n, w) for n in range(3, 22, 2) for w in OMEGA_GRID]
+        for P in polygons:
+            w = reduced_check(P)
+            _missing_crossings(w)
+            got = (w.far_angles, w.boundary_arc_gaps, w.crossing_foot_distances)
+            np.testing.assert_allclose(np.array(got),
+                                       np.array(reference_vertex_claims(P, w.feet, w.crossings)),
+                                       rtol=0.0, atol=1e-14)
+
+    def test_witness_points_are_read_only_arrays(self, crooked_heptagon):
+        w = reduced_check(crooked_heptagon)
+        for rows in (w.feet, w.crossings):
+            assert rows.shape == (7, 3) and rows.dtype == float
+            assert not rows.flags.writeable
+        loose = reduced_check(crooked_heptagon, tol=1e-3)
+        assert np.array_equal(loose.feet, w.feet)
+        # Equality is identity: equal fields do not make equal witnesses.
+        assert w == w and loose != w
+
+    def test_far_angle_on_a_foot_at_the_side_end(self):
+        # Angle at v_2 just under a right angle: t_0 lies inside its side,
+        # about 5e-8 from v_2 = v_k, so the angle at v_k toward t_0 is undefined.
+        P = SphericalPolygon([SpherePoint.from_spherical(0.6, 0.0),
+                              SpherePoint.from_spherical(0.5, 0.5 * math.pi - 1e-7),
+                              SpherePoint(0.0, 0.0, 1.0)])
+        w = reduced_check(P)
+        assert not w.is_reduced and all(w.foot_interior)
+        assert math.isnan(w.far_angles[0]) and not math.isnan(w.far_angles[1])
+        # A polygon that passes needs every far angle for its claims.
+        with pytest.raises(DegenerateAngle):
+            reduced_check(P, tol=1.0)
+        with pytest.raises(DegenerateAngle):
+            reference_reduced_check(P, tol=1.0)
 
     @pytest.mark.parametrize("beyond, crosses", [(3e-10, True), (7e-10, False)])
     def test_crossing_slack_at_spoke_end(self, beyond, crosses):
@@ -424,8 +488,8 @@ class TestReducedCheck:
         P = _triangle_with_crossing_beyond(beyond)
         assert _crossing_overshoot(P, 0) == pytest.approx(beyond, rel=0.0, abs=1e-13)
         got, want = reduced_check(P), reference_reduced_check(P)
-        assert [o is None for o in got.crossings] == [o is None for o in want.crossings]
-        assert (got.crossings[0] is not None) is crosses
+        assert _missing_crossings(got) == _missing_crossings(want)
+        assert (not _missing_crossings(got)[0]) is crosses
 
 
 def _crossing_overshoot(P, i):
@@ -473,11 +537,23 @@ def _triangle_with_crossing_beyond(target):
     return build(hi)
 
 
+def _missing_crossings(w):
+    """Which crossings are missing, after checking that the NaN rows of
+    crossings, the NaN crossing angles and the NaN |o_i t_i| coincide."""
+    nan_rows = np.isnan(w.crossings)
+    missing = nan_rows.any(axis=1).tolist()
+    assert nan_rows.all(axis=1).tolist() == missing
+    assert [math.isnan(p) for p in w.crossing_angles] == missing
+    assert [math.isnan(y) for y in w.crossing_foot_distances] == missing
+    return missing
+
+
 def _witness_values(w):
-    points = [c for p in w.feet + w.crossings if p is not None for c in (p.x, p.y, p.z)]
-    return np.array(points + list(w.foot_distances + w.edge_foot_angles
-                                  + w.foot_diagonal_angles + w.crossing_angles)
-                    + [w.thickness, w.max_residual])
+    crossings = w.crossings[~np.isnan(w.crossings).any(axis=1)]
+    return np.concatenate([w.feet.ravel(), crossings.ravel(),
+                           w.foot_distances + w.edge_foot_angles + w.foot_diagonal_angles
+                           + w.crossing_angles + w.far_angles + w.boundary_arc_gaps
+                           + w.crossing_foot_distances + (w.thickness, w.max_residual)])
 
 
 class TestThickness:
@@ -589,8 +665,8 @@ class TestCircumcap:
 
     def test_cap_membership(self, pentagon):
         cap = pentagon.circumcap()
-        assert cap.contains(SpherePoint(0, 0, 1))
-        assert not cap.contains(SpherePoint(1, 0, 0))
+        assert cap_contains(cap, SpherePoint(0, 0, 1))
+        assert not cap_contains(cap, SpherePoint(1, 0, 0))
 
     def test_matches_loop_reference(self, sample_grid):
         polygons = [s.polygon for s in sample_grid.all_converged()]

@@ -24,6 +24,7 @@ from redsphere import (
     sample_reduced,
     summarize,
     table1_reports,
+    x_limit,
     OMEGA_GRID,
     TABLE1_REFERENCE,
 )
@@ -64,6 +65,14 @@ def _corrupted_sample():
     return SampleResult(polygon=bad, witness=reduced_check(bad), converged=True,
                         iterations=0, final_residual=0.0, config=cfg,
                         failure_reason=None, residual_history=(0.0,))
+
+
+def pulled_pentagon():
+    """The regular pentagon at pi/4 with vertex 0's colatitude raised by 0.05."""
+    verts = list(build_regular(5, QUARTER_PI).vertices)
+    v = verts[0]
+    verts[0] = SpherePoint.from_spherical(math.acos(v.z) + 0.05, math.atan2(v.y, v.x))
+    return SphericalPolygon(verts)
 
 
 class TestTableReproduction:
@@ -134,6 +143,26 @@ class TestPolygonReports:
         assert by_id["crossing-angle-sum-strict"].passed
         assert "crossing-angle-sum-regular" not in by_id
         assert all(r.passed for r in reports)
+
+
+    def test_formula_domain_errors_fail_their_rows(self):
+        P = pulled_pentagon()
+        witness = reduced_check(P, tol=1.0)
+        assert witness.is_reduced
+        lam = math.tan(witness.thickness)
+        assert max(math.tan(y) for y in witness.crossing_foot_distances) >= x_limit(lam)
+        reports = polygon_reports(P, witness, witness.thickness, "pulled pentagon")
+        by_id = {r.claim_id: r for r in reports}
+        identity = by_id["perimeter-witness-identity"]
+        assert not identity.passed and math.isnan(identity.bound)
+        assert "perimeter-jensen" in by_id
+
+    def test_undefined_arms_fail_the_jensen_row(self, crooked_sample):
+        witness = replace(crooked_sample.witness,
+                          crossing_angles=(0.5 * math.pi,) + crooked_sample.witness.crossing_angles[1:])
+        reports = polygon_reports(crooked_sample.polygon, witness, QUARTER_PI, "bent")
+        jensen = {r.claim_id: r for r in reports}["perimeter-jensen"]
+        assert not jensen.passed and math.isnan(jensen.measured)
 
 
 class TestFullSuite:
