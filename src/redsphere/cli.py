@@ -108,8 +108,8 @@ def _lambda_list(text: str) -> tuple[float, ...]:
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse lambda list {text!r}")
-    if not values or any(v <= 0.0 for v in values):
-        raise argparse.ArgumentTypeError("lambdas must be positive numbers")
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise argparse.ArgumentTypeError("lambdas must be finite numbers > 0")
     return values
 
 
@@ -193,16 +193,17 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_verify(args) -> int:
     P, _ = load_polygon(args.path)
-    witness = reduced_check(P, tol=args.tol)
-    payload = {
-        "n": P.n,
-        "is_reduced": witness.is_reduced,
-        "thickness": _fmt9(witness.thickness),
-        "max_residual": _fmt9(witness.max_residual),
-        "reason": witness.reason,
-        "claims": [],
-        "all_passed": False,
-    }
+    payload = {"n": P.n, "is_reduced": False, "thickness": None, "max_residual": None,
+               "reason": None, "claims": [], "all_passed": False}
+    try:
+        witness = reduced_check(P, tol=args.tol)
+    except RedsphereError as exc:
+        # As in full_suite: a polygon reduced_check cannot measure fails the check.
+        payload["reason"] = str(exc)
+        _print_json(payload)
+        return 1
+    payload.update(is_reduced=witness.is_reduced, thickness=_fmt9(witness.thickness),
+                   max_residual=_fmt9(witness.max_residual), reason=witness.reason)
     if witness.is_reduced:
         reports = polygon_reports(P, witness, witness.thickness, f"n={P.n}")
         payload["claims"] = [

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .errors import (
 from .sphere_core import (
     ON_ARC_TOL,
     SEPARATION_TOL,
-    SpherePoint,
     _angles,
     _cross_rows,
     _norm_rows,
@@ -149,20 +148,12 @@ class SphericalPolygon:
     witness it computes on the polygon and returns it again on a later call.
     """
 
-    def __init__(self, vertices: Sequence[SpherePoint]):
-        verts = tuple(vertices)
-        if len(verts) < 3:
-            raise DomainError(f"need at least 3 vertices, got {len(verts)}")
-        self._init(np.array([p.vec for p in verts]), verts)
+    def __init__(self, V):
+        """The polygon of the rows of an (n, 3) array-like V, in order.
 
-    @classmethod
-    def from_array(cls, V) -> "SphericalPolygon":
-        """The polygon of the rows of an (n, 3) array, each row normalized.
-
-        Rows are normalized the way SpherePoint normalizes, the square root
-        of (x*x + y*y) + z*z and then a division, so the result equals
-        SphericalPolygon([SpherePoint.from_vec(v) for v in V]) bit for bit
-        and raises what it raises, without a SpherePoint per vertex.
+        Each row is normalized once: divided by the square root of
+        (x*x + y*y) + z*z, the operations of sphere_core's scalar points,
+        so a row gives the unit vector its point gives, bit for bit.
         """
         V = np.asarray(V, dtype=float)
         x, y, z = V.T
@@ -173,12 +164,7 @@ class SphericalPolygon:
                 f"vector too short to normalize (norm={float(norm[short[0]])!r})")
         if len(V) < 3:
             raise DomainError(f"need at least 3 vertices, got {len(V)}")
-        polygon = cls.__new__(cls)
-        polygon._init(V / norm[:, None], None)
-        return polygon
-
-    def _init(self, V: np.ndarray, verts: Optional[tuple[SpherePoint, ...]]) -> None:
-        """Validate the unit rows V, then own them read-only."""
+        V = V / norm[:, None]
         n = len(V)
         nxt = _ring_indices(n)[0]
         # Neighbour dots by matmul, which rounds like the 1-D dot product.
@@ -201,15 +187,8 @@ class SphericalPolygon:
             raise NotInHemisphere("no open hemisphere contains every vertex")
         V.flags.writeable = False
         self._array = V
-        self._vertices = verts
         # reduced_check's witnesses, by tolerance.
         self._witnesses: dict[float, ReducedWitness] = {}
-
-    @property
-    def vertices(self) -> tuple[SpherePoint, ...]:
-        if self._vertices is None:
-            self._vertices = tuple(SpherePoint._unit(*v) for v in self._array.tolist())
-        return self._vertices
 
     @property
     def n(self) -> int:
@@ -286,10 +265,11 @@ class SphericalPolygon:
                 m = ok[np.argmin(cover[ok])]
                 # Strict: on equal covers the earlier block's candidate stays.
                 if cover[m] < best_cover:
-                    best_cover, best_center = float(cover[m]), C[m]
+                    best_cover, best_center = float(cover[m]), C[m].copy()
         if best_center is None:
             raise NoEnclosingCap("no cap of radius <= pi/2 encloses the vertices")
-        return Cap(center=SpherePoint.from_vec(best_center), radius=best_cover)
+        best_center.flags.writeable = False
+        return Cap(center=best_center, radius=best_cover)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SphericalPolygon) and np.array_equal(self._array, other._array)
@@ -298,11 +278,14 @@ class SphericalPolygon:
         return f"SphericalPolygon(n={self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cap:
-    """Closed spherical cap of radius in (0, pi/2]."""
+    """Closed spherical cap of radius in (0, pi/2].
 
-    center: SpherePoint
+    center is a read-only unit (3,) array, so equality is identity.
+    """
+
+    center: np.ndarray
     radius: float
 
     def __post_init__(self) -> None:
@@ -499,12 +482,11 @@ def build_regular(n: int, thickness: float) -> SphericalPolygon:
 
     Vertices sit at colatitude circumradius, longitudes 2*pi*k/n.
     """
-    met = formulas.regular_metrics(n, thickness)
-    verts = [
-        SpherePoint.from_spherical(met.circumradius, 2.0 * math.pi * k / n)
-        for k in range(n)
-    ]
-    return SphericalPolygon(verts)
+    colat = formulas.regular_metrics(n, thickness).circumradius
+    s, c = math.sin(colat), math.cos(colat)
+    # math's sin and cos: numpy's SIMD ones can round differently.
+    lons = [2.0 * math.pi * k / n for k in range(n)]
+    return SphericalPolygon([[s * math.cos(lon), s * math.sin(lon), c] for lon in lons])
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +499,7 @@ def polygon_to_doc(
     label: Optional[str] = None,
 ) -> dict:
     """Plain-dict form: {"vertices": [[x, y, z], ...], ...} in full precision."""
-    doc: dict = {"vertices": [[p.x, p.y, p.z] for p in polygon.vertices]}
+    doc: dict = {"vertices": polygon._array.tolist()}
     if thickness_hint is not None:
         doc["thickness_hint"] = thickness_hint
     if label is not None:
@@ -528,16 +510,16 @@ def polygon_to_doc(
 def polygon_from_doc(doc: dict) -> SphericalPolygon:
     """Build a polygon from its document form.
 
-    Vertices are renormalized; the load fails when any norm strays from 1
-    by more than 1e-6, or on structural junk.  Convexity violations
-    propagate as NotConvex.
+    Vertices are renormalized; the load fails on a NaN or infinite
+    component, when any norm strays from 1 by more than 1e-6, or on
+    structural junk.  Convexity violations propagate as NotConvex.
     """
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise PolygonDocumentError("document must be an object with a 'vertices' key")
     raw = doc["vertices"]
     if not isinstance(raw, list) or len(raw) < 3:
         raise PolygonDocumentError("'vertices' must list at least 3 entries")
-    verts = []
+    rows = []
     for idx, entry in enumerate(raw):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise PolygonDocumentError(f"vertex {idx} is not an [x, y, z] triple")
@@ -545,11 +527,13 @@ def polygon_from_doc(doc: dict) -> SphericalPolygon:
             vec = [float(c) for c in entry]
         except (TypeError, ValueError) as exc:
             raise PolygonDocumentError(f"vertex {idx} has a non-numeric component") from exc
+        if not all(map(math.isfinite, vec)):
+            raise PolygonDocumentError(f"vertex {idx} has a NaN or infinite component")
         norm = math.sqrt(sum(c * c for c in vec))
         if abs(norm - 1.0) > 1e-6:
             raise PolygonDocumentError(f"vertex {idx} norm {norm!r} strays from 1 by more than 1e-6")
-        verts.append(SpherePoint(*vec))
-    return SphericalPolygon(verts)
+        rows.append(vec)
+    return SphericalPolygon(rows)
 
 
 def load_polygon(path) -> tuple[SphericalPolygon, dict]:

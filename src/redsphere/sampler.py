@@ -42,6 +42,15 @@ _MASK64 = (1 << 64) - 1
 _FD_STEP = 1e-7
 _MU_CEIL = 1e13
 _MU_FLOOR = 1e-14
+# Initial Levenberg-Marquardt damping.
+_DAMPING = 1e-3
+_MAX_ITERATIONS = 200
+# Shallow spoke crossings amplify distance residuals by up to about 3e7
+# in downstream claim checks (perimeter-witness-identity, measured on
+# n = 9 and 15 samples), so stop far below the 1e-8 claim tolerances.
+# At the worst crossings even this misses them; a lower tolerance leaves
+# those samples unconverged instead.
+_RESIDUAL_TOL = 1e-13
 
 
 class Splitmix64:
@@ -77,20 +86,12 @@ class Splitmix64:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Target polygon family plus solver knobs."""
+    """Target polygon family, seed and the size of the initial perturbation."""
 
     n: int
     thickness: float
     seed: int
     perturbation_scale: float = 0.05
-    max_iterations: int = 200
-    # Shallow spoke crossings amplify distance residuals by up to about 3e7
-    # in downstream claim checks (perimeter-witness-identity, measured on
-    # n = 9 and 15 samples), so stop far below the 1e-8 claim tolerances.
-    # At the worst crossings even this misses them; a lower tolerance leaves
-    # those samples unconverged instead.
-    residual_tol: float = 1e-13
-    damping: float = 1e-3
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n, int) and self.n >= 3 and self.n % 2 == 1):
@@ -101,10 +102,6 @@ class SamplerConfig:
             raise ValueError(f"seed={self.seed!r} must be a non-negative integer")
         if not 0.0 <= self.perturbation_scale < self.thickness / 4.0:
             raise ValueError("perturbation_scale must lie in [0, thickness/4)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.residual_tol <= 0.0 or self.damping <= 0.0:
-            raise ValueError("residual_tol and damping must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     Residuals are the n signed vertex-to-opposite-side heights minus the
     target thickness, plus two gauge terms pinning the centroid over the
     pole; vertex 0 keeps its initial longitude.  The iteration stops once
-    the distance residuals drop to max-norm <= residual_tol.  Failures are
+    the distance residuals drop to max-norm <= _RESIDUAL_TOL.  Failures are
     reported in-band: converged=False plus a failure_reason, never an
     exception.
     """
@@ -204,12 +201,12 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     full_residual = partial(_full_residual, n=n, lon0=lon0, w=w)
     full = full_residual(params)
     history = [float(np.max(np.abs(full[:n])))]
-    converged = history[-1] <= cfg.residual_tol
-    mu = cfg.damping
+    converged = history[-1] <= _RESIDUAL_TOL
+    mu = _DAMPING
     iterations = 0
     stall_reason: Optional[str] = None
 
-    while not converged and iterations < cfg.max_iterations:
+    while not converged and iterations < _MAX_ITERATIONS:
         iterations += 1
         J = _fd_jacobian(full_residual, params)
         improved = False
@@ -226,7 +223,7 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
                     break
             mu *= 10.0
         history.append(float(np.max(np.abs(full[:n]))))
-        if history[-1] <= cfg.residual_tol:
+        if history[-1] <= _RESIDUAL_TOL:
             converged = True
             break
         if not improved:
@@ -238,7 +235,7 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     witness: Optional[ReducedWitness] = None
     failure: Optional[str] = None if converged else (stall_reason or "max_iterations reached")
     try:
-        polygon = SphericalPolygon.from_array(_embed(params, n, lon0))
+        polygon = SphericalPolygon(_embed(params, n, lon0))
         witness = reduced_check(polygon, tol=REDUCED_TOL)
     except RedsphereError as exc:
         polygon = None

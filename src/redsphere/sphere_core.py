@@ -91,18 +91,6 @@ class SpherePoint:
         object.__setattr__(self, "z", self.z / n)
 
     @classmethod
-    def _unit(cls, x: float, y: float, z: float) -> "SpherePoint":
-        """The point of an already normalized vector, stored without renormalizing.
-
-        A second normalization moves the last bit of many unit vectors.
-        """
-        p = object.__new__(cls)
-        object.__setattr__(p, "x", x)
-        object.__setattr__(p, "y", y)
-        object.__setattr__(p, "z", z)
-        return p
-
-    @classmethod
     def from_vec(cls, v) -> "SpherePoint":
         return cls(float(v[0]), float(v[1]), float(v[2]))
 

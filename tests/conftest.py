@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from redsphere import SamplerConfig, sample_batch
+from redsphere import SamplerConfig, SphericalPolygon, build_regular, regular_metrics, sample_batch
 
 GRID_N = (5, 7)
 GRID_OMEGA = (math.pi / 6, math.pi / 4, math.pi / 3)
@@ -29,6 +29,36 @@ _CRITERIA = {
     "10": "triangle sampling is rigid: every seed gives the regular one",
     "11": "right-triangle identity kernel at 1e-10, sine rule at 1e-9",
 }
+
+
+def spherical_row(colat, lon):
+    """The raw vector that SpherePoint.from_spherical(colat, lon) normalizes.
+
+    A polygon built from raw rows normalizes each row once, so its vertices
+    are the points' vectors bit for bit.
+    """
+    s = math.sin(colat)
+    return [s * math.cos(lon), s * math.sin(lon), math.cos(colat)]
+
+
+def pulled_regular(n, thickness):
+    """The regular n-gon with vertex 0's colatitude raised by 0.05."""
+    colat = regular_metrics(n, thickness).circumradius
+    rows = [spherical_row(colat, 2.0 * math.pi * k / n) for k in range(n)]
+    x, y, z = build_regular(n, thickness).as_array()[0]
+    rows[0] = spherical_row(math.acos(z) + 0.05, math.atan2(y, x))
+    return SphericalPolygon(rows)
+
+
+def side_end_triangle():
+    """A triangle whose angle at v_2 is just under a right angle.
+
+    The foot t_0 lies inside its side, about 5e-8 from v_2 = v_k, so the
+    angle at v_k toward t_0 is undefined.
+    """
+    return SphericalPolygon([spherical_row(0.6, 0.0),
+                             spherical_row(0.5, 0.5 * math.pi - 1e-7),
+                             [0.0, 0.0, 1.0]])
 
 
 class SampleGrid:

@@ -69,7 +69,7 @@ def test_criterion_03_perimeter_equals_twice_summed_arms(sample_grid):
         for s in batch:
             if not s.converged:
                 continue
-            verts = s.polygon.vertices
+            verts = [SpherePoint.from_vec(v) for v in s.polygon.as_array()]
             perim = sum(distance(verts[i], verts[(i + 1) % n]) for i in range(n))
             arms = sum(
                 arm_length(math.tan(distance(SpherePoint.from_vec(o), SpherePoint.from_vec(t))),
@@ -152,7 +152,7 @@ def test_criterion_08_structural_witness_invariants(sample_grid):
             spread = max(abs(p - math.pi / n) for p in phis)
             if spread > 1e-6 and total - math.pi <= 1e-9:
                 violations += 1
-            verts = s.polygon.vertices
+            verts = [SpherePoint.from_vec(v) for v in s.polygon.as_array()]
             feet = [SpherePoint.from_vec(t) for t in w.feet]
             for i in range(n):
                 k2 = (i + (n + 1) // 2) % n

@@ -7,7 +7,7 @@ import pytest
 
 from redsphere.cli import main
 from redsphere.polygon import build_regular, save_polygon
-from test_verify import pulled_pentagon
+from conftest import pulled_regular, side_end_triangle
 
 
 def run(capsys, *argv):
@@ -46,6 +46,10 @@ class TestArgumentValidation:
         (("verify", "--in", "p.json", "--tol", "-1"), "tol must be a finite number > 0"),
         (("verify", "--in", "p.json", "--tol", "0"), "tol must be a finite number > 0"),
         (("verify", "--in", "p.json", "--tol", "tight"), "cannot parse tolerance"),
+        (("lemmas", "--lambdas", "nan"), "lambdas must be finite numbers > 0"),
+        (("lemmas", "--lambdas", "inf"), "lambdas must be finite numbers > 0"),
+        (("lemmas", "--lambdas", "0.5,-inf"), "lambdas must be finite numbers > 0"),
+        (("lemmas", "--lambdas", "0"), "lambdas must be finite numbers > 0"),
     ])
     def test_bad_sampler_arguments_are_usage_errors(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -121,7 +125,7 @@ class TestVerifyFailures:
         # Under a loose tol a pentagon with one vertex pulled out counts as
         # reduced; one of its crossing parameters lies past x_limit.
         path = str(tmp_path / "pulled.json")
-        save_polygon(path, pulled_pentagon())
+        save_polygon(path, pulled_regular(5, math.pi / 4))
         code, out, err = run(capsys, "verify", "--in", path, "--tol", "1.0")
         assert code == 1
         assert "error:" not in err
@@ -130,6 +134,27 @@ class TestVerifyFailures:
         claims = {c["claim_id"]: c for c in payload["claims"]}
         assert claims["perimeter-witness-identity"]["passed"] is False
         assert math.isnan(claims["perimeter-witness-identity"]["bound"])
+
+    def test_unmeasurable_polygon_fails_its_check(self, capsys, tmp_path):
+        # Under a loose tol this triangle passes, but reduced_check cannot
+        # measure its far angle at v_2; as in full_suite, that fails the check.
+        path = str(tmp_path / "side_end.json")
+        save_polygon(path, side_end_triangle())
+        code, out, err = run(capsys, "verify", "--in", path, "--tol", "1.0")
+        assert code == 1
+        assert "error:" not in err
+        payload = json.loads(out)
+        assert payload["is_reduced"] is False and payload["all_passed"] is False
+        assert "coincident or antipodal" in payload["reason"]
+
+    def test_non_finite_vertex_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        doc = {"vertices": build_regular(5, math.pi / 4).as_array().tolist()}
+        doc["vertices"][1][0] = math.nan
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "--in", str(path))
+        assert code == 3
+        assert "vertex 1 has a NaN or infinite component" in err
 
     def test_missing_file_is_an_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "metrics", "--in", str(tmp_path / "absent.json"))

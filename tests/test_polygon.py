@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from conftest import pulled_regular, side_end_triangle, spherical_row
 from test_sphere_core import (
     Arc,
     CoplanarArcs,
@@ -53,7 +54,12 @@ QUARTER_PI = 0.25 * math.pi
 
 
 def _ring(colat, lons):
-    return [SpherePoint.from_spherical(colat, lon) for lon in lons]
+    return [spherical_row(colat, lon) for lon in lons]
+
+
+def _points(polygon: SphericalPolygon) -> list[SpherePoint]:
+    """The polygon's vertices as the scalar oracles' points."""
+    return [SpherePoint.from_vec(v) for v in polygon.as_array()]
 
 
 def opposite_side(i: int, n: int) -> tuple[int, int]:
@@ -88,7 +94,7 @@ def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL)
         return ReducedWitness(thickness=polygon.thickness(), is_reduced=False,
                               max_residual=math.nan, reason=f"not an odd-gon: n={n}")
 
-    verts = polygon.vertices
+    verts = _points(polygon)
     feet: list[SpherePoint] = []
     dists: list[float] = []
     interior: list[bool] = []
@@ -162,7 +168,7 @@ def reference_vertex_claims(polygon: SphericalPolygon, feet: np.ndarray,
     where the crossing row is NaN), from the rows of feet and crossings.
     """
     n = polygon.n
-    verts = polygon.vertices
+    verts = _points(polygon)
     points = [SpherePoint.from_vec(f) for f in feet]
     far, gaps, crossing_feet = [], [], []
     for i in range(n):
@@ -180,7 +186,7 @@ def reference_vertex_claims(polygon: SphericalPolygon, feet: np.ndarray,
 
 def cap_contains(cap: Cap, p: SpherePoint, tol: float = 0.0) -> bool:
     """Whether p lies in the closed cap, widened by tol."""
-    return distance(cap.center, p) <= cap.radius + tol
+    return distance(SpherePoint.from_vec(cap.center), p) <= cap.radius + tol
 
 
 # The per-candidate loop of SphericalPolygon.circumcap, kept as the oracle of
@@ -225,7 +231,7 @@ def reference_circumcap(polygon: SphericalPolygon) -> Cap:
     if best is None:
         raise NoEnclosingCap("no cap of radius <= pi/2 encloses the vertices")
     radius, center = best
-    return Cap(center=SpherePoint.from_vec(center), radius=radius)
+    return Cap(center=center, radius=radius)
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +259,7 @@ class TestConstruction:
     def test_reflex_vertex_rejected(self):
         points = _ring(0.5, [0.0, 1.2, 2.4, 3.6, 4.8])
         # Push one vertex toward the centroid far enough to break convexity.
-        points[2] = SpherePoint.from_spherical(0.02, 2.4)
+        points[2] = spherical_row(0.02, 2.4)
         with pytest.raises(NotConvex):
             SphericalPolygon(points)
 
@@ -262,11 +268,11 @@ class TestConstruction:
         points = _ring(0.5 * math.pi - 1e-3, [0.0, 2.0 * math.pi / 3, 4.0 * math.pi / 3])
         P = SphericalPolygon(points)
         witness = SpherePoint(0.0, 0.0, 1.0)
-        assert all(distance(witness, v) < 0.5 * math.pi for v in P.vertices)
+        assert all(distance(witness, v) < 0.5 * math.pi for v in _points(P))
 
     def test_equality_and_repr(self, pentagon):
-        clone = SphericalPolygon(pentagon.vertices)
-        assert clone == pentagon
+        clone = build_regular(5, QUARTER_PI)
+        assert clone is not pentagon and clone == pentagon
         assert "SphericalPolygon" in repr(pentagon)
 
     def test_vertex_array_is_read_only(self, pentagon):
@@ -278,9 +284,14 @@ class TestConstruction:
         assert pentagon._array[0, 0] != 0.0
 
 
-def _old_build(V):
-    """The object path that SphericalPolygon.from_array replaces."""
-    return SphericalPolygon([SpherePoint.from_vec(v) for v in V])
+def reference_rows(V):
+    """Rows of V normalized by SpherePoint, the scalar oracle of the
+    constructor's normalization."""
+    return np.array([SpherePoint.from_vec(v).vec for v in V])
+
+
+def _reference_build(V):
+    return SphericalPolygon(reference_rows(V))
 
 
 def _raised(build, V):
@@ -297,10 +308,8 @@ def _renormalization_moves(V):
 
 class TestFromArray:
     def _assert_same(self, V):
-        got, want = SphericalPolygon.from_array(V), _old_build(V)
-        assert got._array.tobytes() == want._array.tobytes()
-        assert got.vertices == want.vertices
-        assert got == want and want == got
+        got = SphericalPolygon(V)
+        assert got._array.tobytes() == reference_rows(V).tobytes()
         assert not got._array.flags.writeable
 
     def test_non_unit_rows(self):
@@ -323,9 +332,9 @@ class TestFromArray:
 
     def test_equality_is_by_array(self, pentagon):
         V = pentagon.as_array()
-        assert SphericalPolygon.from_array(V) == pentagon
+        assert SphericalPolygon(V) == pentagon
         V[2, 0] = np.nextafter(V[2, 0], 1.0)
-        assert SphericalPolygon.from_array(V) != pentagon
+        assert SphericalPolygon(V) != pentagon
 
     @pytest.mark.parametrize("case", ["degenerate", "few", "clockwise", "hemisphere"])
     def test_same_errors_as_the_object_path(self, case):
@@ -342,8 +351,8 @@ class TestFromArray:
             V = np.array([[0.0, 0.0, 1.0], [math.sin(t), 0.0, -math.cos(t)],
                           [math.sin(t) * math.cos(1.0), math.sin(t) * math.sin(1.0),
                            -math.cos(t)]])
-        got = _raised(SphericalPolygon.from_array, V)
-        assert got == _raised(_old_build, V)
+        got = _raised(SphericalPolygon, V)
+        assert got == _raised(_reference_build, V)
         want = {"degenerate": DegeneratePoint, "few": DomainError,
                 "clockwise": NotConvex, "hemisphere": NotInHemisphere}[case]
         assert issubclass(got[0], want)
@@ -380,6 +389,14 @@ class TestBuildRegular:
         assert P.perimeter() == pytest.approx(m.perimeter, abs=1e-9)
         assert P.circumcap().radius == pytest.approx(m.circumradius, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 15, 21])
+    def test_rows_match_scalar_points(self, n):
+        for w in OMEGA_GRID:
+            colat = regular_metrics(n, w).circumradius
+            want = np.array([SpherePoint.from_spherical(colat, 2.0 * math.pi * k / n).vec
+                             for k in range(n)])
+            assert build_regular(n, w)._array.tobytes() == want.tobytes()
+
     def test_triangle_distances_equal_thickness(self):
         w = reduced_check(build_regular(3, QUARTER_PI))
         for d in w.foot_distances:
@@ -409,11 +426,7 @@ class TestReducedCheck:
         assert w.feet.shape == (0, 3)
 
     def test_pulled_vertex_breaks_distance_equality(self):
-        P = build_regular(3, QUARTER_PI)
-        verts = list(P.vertices)
-        colat = math.acos(verts[0].z) + 0.05
-        verts[0] = SpherePoint.from_spherical(colat, math.atan2(verts[0].y, verts[0].x))
-        w = reduced_check(SphericalPolygon(verts))
+        w = reduced_check(pulled_regular(3, QUARTER_PI))
         assert not w.is_reduced
         assert w.max_residual > 1e-7
 
@@ -468,11 +481,7 @@ class TestReducedCheck:
         assert w == w and loose != w
 
     def test_far_angle_on_a_foot_at_the_side_end(self):
-        # Angle at v_2 just under a right angle: t_0 lies inside its side,
-        # about 5e-8 from v_2 = v_k, so the angle at v_k toward t_0 is undefined.
-        P = SphericalPolygon([SpherePoint.from_spherical(0.6, 0.0),
-                              SpherePoint.from_spherical(0.5, 0.5 * math.pi - 1e-7),
-                              SpherePoint(0.0, 0.0, 1.0)])
+        P = side_end_triangle()
         w = reduced_check(P)
         assert not w.is_reduced and all(w.foot_interior)
         assert math.isnan(w.far_angles[0]) and not math.isnan(w.far_angles[1])
@@ -501,11 +510,12 @@ def _crossing_overshoot(P, i):
     sum of Arc.contains by 2d.
     """
     n = P.n
+    verts = _points(P)
     spokes = []
     for m in (i, (i + (n + 1) // 2) % n):
         j, k = opposite_side(m, n)
-        circle = GreatCircle.through(P.vertices[j], P.vertices[k])
-        spokes.append(Arc(P.vertices[m], project_to_circle(P.vertices[m], circle)))
+        circle = GreatCircle.through(verts[j], verts[k])
+        spokes.append(Arc(verts[m], project_to_circle(verts[m], circle)))
     c = SpherePoint.from_vec(np.cross(spokes[0].circle.pole.vec, spokes[1].circle.pole.vec))
 
     def beyond(o):
@@ -523,9 +533,9 @@ def _triangle_with_crossing_beyond(target):
     that grows with t; t is found by bisection.
     """
     def build(t):
-        return SphericalPolygon([SpherePoint.from_spherical(0.6, 0.0),
-                                 SpherePoint.from_spherical(0.5, 0.5 * math.pi + t),
-                                 SpherePoint(0.0, 0.0, 1.0)])
+        return SphericalPolygon([spherical_row(0.6, 0.0),
+                                 spherical_row(0.5, 0.5 * math.pi + t),
+                                 [0.0, 0.0, 1.0]])
 
     lo, hi = 0.0, 1e-6
     for _ in range(80):
@@ -602,14 +612,13 @@ class TestThickness:
             h = math.cos(math.pi - d_star) * u + math.sin(math.pi - d_star) * w
             lune = Lune(SpherePoint.from_vec(u), SpherePoint.from_vec(h))
             assert lune.thickness == pytest.approx(computed, abs=1e-12)
-            for vert in P.vertices:
+            for vert in _points(P):
                 assert lune.contains(vert, tol=1e-12)
 
 
 class TestPerimeter:
     def test_orthant_triangle(self):
-        P = SphericalPolygon([SpherePoint(1, 0, 0), SpherePoint(0, 1, 0),
-                              SpherePoint(0, 0, 1)])
+        P = SphericalPolygon([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         assert P.perimeter() == pytest.approx(1.5 * math.pi, abs=1e-12)
 
     def test_matches_closed_form(self):
@@ -620,11 +629,11 @@ class TestPerimeter:
 
     def test_short_side_keeps_full_precision(self):
         # acos of the vertex dot product errs by about 2e-11 on a 2e-6 side.
-        verts = [SpherePoint.from_spherical(0.5, 0.0),
-                 SpherePoint.from_spherical(0.5, 2e-6 / math.sin(0.5)),
-                 SpherePoint(0.0, 0.0, 1.0)]
+        rows = [spherical_row(0.5, 0.0), spherical_row(0.5, 2e-6 / math.sin(0.5)),
+                [0.0, 0.0, 1.0]]
+        verts = [SpherePoint(*row) for row in rows]
         sides = sum(distance(verts[i], verts[(i + 1) % 3]) for i in range(3))
-        assert abs(SphericalPolygon(verts).perimeter() - sides) < 1e-15
+        assert abs(SphericalPolygon(rows).perimeter() - sides) < 1e-15
 
 
 class TestDiameter:
@@ -642,23 +651,25 @@ class TestCircumcap:
         cap = pentagon.circumcap()
         m = regular_metrics(5, QUARTER_PI)
         assert cap.radius == pytest.approx(m.circumradius, abs=1e-12)
-        assert distance(cap.center, SpherePoint(0, 0, 1)) < 1e-6
+        assert cap.center.shape == (3,) and not cap.center.flags.writeable
+        assert abs(float(np.linalg.norm(cap.center)) - 1.0) < 1e-15
+        assert distance(SpherePoint.from_vec(cap.center), SpherePoint(0, 0, 1)) < 1e-6
 
     def test_pair_determined_cap(self):
         far = _ring(0.5, [0.0, math.pi])
-        near_pole = SpherePoint.from_spherical(0.05, 0.5 * math.pi)
+        near_pole = spherical_row(0.05, 0.5 * math.pi)
         P = SphericalPolygon([far[0], near_pole, far[1]])
         cap = P.circumcap()
         assert cap.radius == pytest.approx(0.5, abs=1e-12)
-        assert distance(cap.center, SpherePoint(0, 0, 1)) < 1e-12
+        assert distance(SpherePoint.from_vec(cap.center), SpherePoint(0, 0, 1)) < 1e-12
 
     def test_no_center_beats_computed_radius(self, crooked_heptagon):
         cap = crooked_heptagon.circumcap()
         V = crooked_heptagon.as_array()
-        for v in crooked_heptagon.vertices:
-            assert distance(cap.center, v) <= cap.radius + 1e-12
+        for v in _points(crooked_heptagon):
+            assert cap_contains(cap, v, tol=1e-12)
         rng = np.random.default_rng(31)
-        centers = cap.center.vec + 0.3 * rng.normal(size=(10_000, 3))
+        centers = cap.center + 0.3 * rng.normal(size=(10_000, 3))
         centers /= np.linalg.norm(centers, axis=1, keepdims=True)
         radii = np.arccos(np.clip(centers @ V.T, -1.0, 1.0)).max(axis=1)
         assert float(radii.min()) >= cap.radius - 1e-5
@@ -681,8 +692,7 @@ class TestCircumcap:
         # comes after the first block of triples.
         monkeypatch.setattr(polygon_module, "_CAP_BLOCK", 1024)
         far = (7, 14, 20)
-        P = SphericalPolygon([SpherePoint.from_spherical(0.5 if k in far else 0.49,
-                                                         2.0 * math.pi * k / 21)
+        P = SphericalPolygon([spherical_row(0.5 if k in far else 0.49, 2.0 * math.pi * k / 21)
                               for k in range(21)])
         triples = _index_combinations(21, 3).tolist()
         assert len(triples) > polygon_module._CAP_BLOCK
@@ -749,7 +759,7 @@ def _random_hulls(count, seed):
         if len(hull) < 3:
             continue
         try:
-            hulls.append(SphericalPolygon([SpherePoint(x, y, 1.0) for x, y in xy[hull]]))
+            hulls.append(SphericalPolygon([[x, y, 1.0] for x, y in xy[hull]]))
         except NotConvex:
             continue
     return hulls
@@ -762,7 +772,7 @@ def _turn(o, a, b):
 
 def _assert_same_cap(got, want):
     assert got.radius == want.radius
-    assert np.array_equal(got.center.vec, want.center.vec)
+    assert np.array_equal(got.center, want.center)
 
 
 class TestPolygonDocuments:
@@ -772,7 +782,7 @@ class TestPolygonDocuments:
         loaded, doc = load_polygon(path)
         assert doc["thickness_hint"] == QUARTER_PI
         assert doc["label"] == "pentagon"
-        for got, want in zip(loaded.vertices, pentagon.vertices):
+        for got, want in zip(_points(loaded), _points(pentagon)):
             assert distance(got, want) < 1e-15
 
     def test_doc_round_trip_in_memory(self, pentagon):
@@ -792,6 +802,22 @@ class TestPolygonDocuments:
             polygon_from_doc({"nope": []})
         with pytest.raises(PolygonDocumentError):
             polygon_from_doc({"vertices": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]})
+
+    def test_rows_match_scalar_points(self, crooked_heptagon):
+        # Rows off the unit sphere by up to 6e-8 are normalized as SpherePoint does.
+        doc = polygon_to_doc(crooked_heptagon)
+        doc["vertices"] = [[c * (1.0 + 1e-8 * k) for c in row]
+                           for k, row in enumerate(doc["vertices"])]
+        want = np.array([SpherePoint(*row).vec for row in doc["vertices"]])
+        assert polygon_from_doc(doc)._array.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component_rejected(self, pentagon, bad):
+        # abs(nan - 1) > 1e-6 is false, so a NaN passed the norm check.
+        doc = polygon_to_doc(pentagon)
+        doc["vertices"][2][1] = bad
+        with pytest.raises(PolygonDocumentError, match="vertex 2 has a NaN or infinite"):
+            polygon_from_doc(doc)
 
     def test_clockwise_document_rejected(self, pentagon):
         doc = polygon_to_doc(pentagon)

@@ -95,8 +95,6 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(n=5, thickness=QUARTER_PI, seed=0,
                           perturbation_scale=QUARTER_PI / 4.0)
-        with pytest.raises(ValueError):
-            SamplerConfig(n=5, thickness=QUARTER_PI, seed=0, max_iterations=0)
 
     def test_batch_count_validated(self):
         cfg = SamplerConfig(n=5, thickness=QUARTER_PI, seed=0)
@@ -111,8 +109,8 @@ class TestSampleReduced:
         assert res.converged
         assert res.iterations <= 1
         reg = build_regular(5, QUARTER_PI)
-        for got, want in zip(res.polygon.vertices, reg.vertices):
-            assert got.dot(want) > 1.0 - 1e-12
+        dots = np.einsum("ij,ij->i", res.polygon.as_array(), reg.as_array())
+        assert np.all(dots > 1.0 - 1e-12)
 
     def test_converged_sample_is_reduced(self):
         res = sample_reduced(SamplerConfig(n=5, thickness=QUARTER_PI, seed=11))

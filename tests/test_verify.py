@@ -6,11 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import pulled_regular
 from redsphere import (
     SamplerConfig,
     SampleResult,
-    SpherePoint,
-    SphericalPolygon,
     build_regular,
     check_bound_gap,
     check_regular_monotonicity,
@@ -56,23 +55,11 @@ def rejected_sample():
 
 def _corrupted_sample():
     """A result that claims convergence over a polygon that is not reduced."""
-    P = build_regular(3, QUARTER_PI)
-    verts = list(P.vertices)
-    colat = math.acos(verts[0].z) + 0.05
-    verts[0] = SpherePoint.from_spherical(colat, math.atan2(verts[0].y, verts[0].x))
-    bad = SphericalPolygon(verts)
+    bad = pulled_regular(3, QUARTER_PI)
     cfg = SamplerConfig(n=3, thickness=QUARTER_PI, seed=0)
     return SampleResult(polygon=bad, witness=reduced_check(bad), converged=True,
                         iterations=0, final_residual=0.0, config=cfg,
                         failure_reason=None, residual_history=(0.0,))
-
-
-def pulled_pentagon():
-    """The regular pentagon at pi/4 with vertex 0's colatitude raised by 0.05."""
-    verts = list(build_regular(5, QUARTER_PI).vertices)
-    v = verts[0]
-    verts[0] = SpherePoint.from_spherical(math.acos(v.z) + 0.05, math.atan2(v.y, v.x))
-    return SphericalPolygon(verts)
 
 
 class TestTableReproduction:
@@ -146,7 +133,7 @@ class TestPolygonReports:
 
 
     def test_formula_domain_errors_fail_their_rows(self):
-        P = pulled_pentagon()
+        P = pulled_regular(5, QUARTER_PI)
         witness = reduced_check(P, tol=1.0)
         assert witness.is_reduced
         lam = math.tan(witness.thickness)
