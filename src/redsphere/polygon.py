@@ -127,18 +127,20 @@ def _unit_rows(R: np.ndarray, anchor: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _cap_candidates(V: np.ndarray):
     """Blocks (centres, anchors) of circumcap's candidate centres, in order.
 
-    Pair midpoints first, then the triple centres.  Row m of a block is a
-    candidate whose cap boundary passes through V[anchor[m]].
+    Pair midpoints first, then the triple centres; a block holds up to
+    _CAP_BLOCK candidates and may run across from pairs to triples.  Row m
+    of a block is a candidate whose cap boundary passes through V[anchor[m]].
     """
     n = V.shape[0]
     pairs = _index_combinations(n, 2)
-    for start in range(0, len(pairs), _CAP_BLOCK):
-        i, j = pairs[start:start + _CAP_BLOCK].T
-        yield _unit_rows(V[i] + V[j], i)
     triples = _index_combinations(n, 3)
-    for start in range(0, len(triples), _CAP_BLOCK):
-        i, j, k = triples[start:start + _CAP_BLOCK].T
-        yield _unit_rows(_cross_rows(V[i] - V[j], V[j] - V[k]), i)
+    m = len(pairs)
+    for start in range(0, m + len(triples), _CAP_BLOCK):
+        stop = start + _CAP_BLOCK
+        i, j = pairs[start:stop].T
+        a, b, c = triples[max(start - m, 0):max(stop - m, 0)].T
+        R = np.concatenate([V[i] + V[j], _cross_rows(V[a] - V[b], V[b] - V[c])])
+        yield _unit_rows(R, np.concatenate([i, a]))
 
 
 class SphericalPolygon:
@@ -155,7 +157,12 @@ class SphericalPolygon:
         (x*x + y*y) + z*z, the operations of sphere_core's scalar points,
         so a row gives the unit vector its point gives, bit for bit.
         """
-        V = np.asarray(V, dtype=float)
+        try:
+            V = np.asarray(V, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"vertices are not an (n, 3) array of numbers: {exc}") from exc
+        if V.ndim != 2 or V.shape[1] != 3:
+            raise DomainError(f"vertices must be an (n, 3) array, got shape {V.shape}")
         x, y, z = V.T
         norm = np.sqrt((x * x + y * y) + z * z)
         short = np.flatnonzero(norm < 1e-12)
@@ -244,11 +251,12 @@ class SphericalPolygon:
         The centre -c of a triple is not a candidate: c . v_i = det(v_i, v_j,
         v_k), which is positive for i < j < k of a counterclockwise strictly
         convex polygon, so the cap around -c has a radius above pi/2 and
-        never counts.  Candidates are scored in blocks of _CAP_BLOCK, so memory
-        stays bounded at n = 99.  Norms and dot products are batched matmuls,
-        which round like 1-D dot products, so the cap is bit for bit the one
-        a loop over candidates with 1-D dot products finds; the tests keep
-        that loop as the oracle.
+        never counts.  Candidates are scored in blocks of _CAP_BLOCK, which
+        run across from pairs to triples, so every n <= 23 takes one block
+        and memory stays bounded at n = 99.  Norms and dot products are
+        batched matmuls, which round like 1-D dot products, so the cap is bit
+        for bit the one a loop over candidates with 1-D dot products finds;
+        the tests keep that loop as the oracle.
         """
         n = self.n
         if n > 99:
@@ -418,7 +426,8 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     t_far = Vk - vk[:, None] * V
     u_near = V - vk[:, None] * Vk
     u_foot = F - kf[:, None] * Vk
-    ang = _angles(np.concatenate([V, V[j], t_next, t_foot, Q, u_near, V, F, O, -O]),
+    signed = np.concatenate([O, -O])
+    ang = _angles(np.concatenate([V, V[j], t_next, t_foot, Q, u_near, V, F, signed]),
                   np.concatenate([F, Vk, t_foot, t_far, -Q[k], u_foot, Fk, Vk, F, F]))
     dist, side, alpha, beta, phi, far, near_arc, far_arc, o_plus, o_minus = ang.reshape(10, n)
 
@@ -427,14 +436,15 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
 
     slack = 0.5 * ON_ARC_TOL
 
-    def on_both_spokes(cand: np.ndarray) -> np.ndarray:
-        s_i = _arc_parameter(cand, V, T)
-        s_k = _arc_parameter(cand, Vk, T[k])
-        return ((-slack <= s_i) & (s_i <= dist + slack)
-                & (-slack <= s_k) & (s_k <= dist[k] + slack))
-
-    plus = on_both_spokes(O)
-    minus = on_both_spokes(-O) & ~plus
+    # Both signs of every crossing at once: rows [O; -O] against the spokes twice.
+    twice = np.arange(2 * n) % n
+    kk = k[twice]
+    s_i = _arc_parameter(signed, V[twice], T[twice])
+    s_k = _arc_parameter(signed, V[kk], T[kk])
+    on = ((-slack <= s_i) & (s_i <= dist[twice] + slack)
+          & (-slack <= s_k) & (s_k <= dist[kk] + slack))
+    plus = on[:n]
+    minus = on[n:] & ~plus
     O = np.where(minus[:, None], -O, O)
     crosses &= plus | minus
     # As in angle_at, a crossing on v_i or t_k leaves its vertical angle undefined.

@@ -154,17 +154,18 @@ def _eye(p: int, scale: float = 1.0) -> np.ndarray:
     return E
 
 
-def _fd_jacobian(fun, params: np.ndarray) -> np.ndarray:
-    """Central differences of fun at params, all columns from one stacked call.
+def _residual_and_jacobian(fun, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fun at x and its central-difference Jacobian, from one stacked call.
 
-    Row j of params + E (params - E) is params with entry j moved by
-    +_FD_STEP (-_FD_STEP), and fun works row by row, so the columns equal
-    those of differencing one column at a time, bit for bit.
+    fun gets the rows [x; x + E; x - E], E = _FD_STEP * I.  Row j of x + E
+    (x - E) is x with entry j moved by +_FD_STEP (-_FD_STEP), and fun works
+    row by row, so the residual is fun(x) and the columns equal those of
+    differencing one column at a time, bit for bit.
     """
-    p = params.size
+    p = x.size
     E = _eye(p, _FD_STEP)
-    R = fun(np.concatenate([params + E, params - E]))
-    return ((R[:p] - R[p:]) / (2.0 * _FD_STEP)).T
+    R = fun(np.concatenate([x[None], x + E, x - E]))
+    return R[0], ((R[1:p + 1] - R[p + 1:]) / (2.0 * _FD_STEP)).T
 
 
 def _damped_step(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
@@ -199,7 +200,10 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     params = np.concatenate([colat, lon[1:]])
 
     full_residual = partial(_full_residual, n=n, lon0=lon0, w=w)
-    full = full_residual(params)
+    # Every point is evaluated with its Jacobian: an accepted trial's is the
+    # next iteration's, and the one of the converging point goes unused.
+    full, J = _residual_and_jacobian(full_residual, params)
+    norm = float(np.linalg.norm(full))
     history = [float(np.max(np.abs(full[:n])))]
     converged = history[-1] <= _RESIDUAL_TOL
     mu = _DAMPING
@@ -208,16 +212,17 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
 
     while not converged and iterations < _MAX_ITERATIONS:
         iterations += 1
-        J = _fd_jacobian(full_residual, params)
         improved = False
         while mu <= _MU_CEIL:
             step = _damped_step(J, full, mu)
             trial = params + step
-            ok_range = bool(np.all(trial[:n] > 1e-6) and np.all(trial[:n] < math.pi - 1e-6))
-            if ok_range:
-                t_full = full_residual(trial)
-                if float(np.linalg.norm(t_full)) < float(np.linalg.norm(full)):
-                    params, full = trial, t_full
+            t_colat = trial[:n]
+            # False on a NaN colatitude, as the trial must be rejected then.
+            if (t_colat > 1e-6).all() and (t_colat < math.pi - 1e-6).all():
+                t_full, t_J = _residual_and_jacobian(full_residual, trial)
+                t_norm = float(np.linalg.norm(t_full))
+                if t_norm < norm:
+                    params, full, J, norm = trial, t_full, t_J, t_norm
                     mu = max(mu / 10.0, _MU_FLOOR)
                     improved = True
                     break

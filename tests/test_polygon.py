@@ -357,6 +357,16 @@ class TestFromArray:
                 "clockwise": NotConvex, "hemisphere": NotInHemisphere}[case]
         assert issubclass(got[0], want)
 
+    @pytest.mark.parametrize("V", [
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        [1.0, 0.0, 0.0],
+        [[[1.0, 0.0, 0.0]]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]],
+    ], ids=["two-columns", "one-row-1d", "three-dims", "ragged"])
+    def test_only_n_by_3_arrays(self, V):
+        with pytest.raises(DomainError, match=r"\(n, 3\) array"):
+            SphericalPolygon(V)
+
 
 class TestOppositeSide:
     def test_triangle(self):

@@ -24,8 +24,8 @@ QUARTER_PI = 0.25 * math.pi
 
 
 # The column-by-column central differences the sampler made before it
-# stacked all columns into one residual call; kept as the oracle of
-# sampler._fd_jacobian.
+# stacked all columns into one residual call; with a separate call at the
+# point itself, kept as the oracle of sampler._residual_and_jacobian.
 def reference_fd_jacobian(fun, params):
     columns = []
     for j in range(params.size):
@@ -35,6 +35,10 @@ def reference_fd_jacobian(fun, params):
         lo[j] -= sampler._FD_STEP
         columns.append((fun(hi) - fun(lo)) / (2.0 * sampler._FD_STEP))
     return np.column_stack(columns)
+
+
+def reference_residual_and_jacobian(fun, params):
+    return fun(params), reference_fd_jacobian(fun, params)
 
 
 def _nan_equal(a, b) -> bool:
@@ -217,8 +221,10 @@ class TestStackedJacobian:
                 def fun(P):
                     return sampler._full_residual(P, n, lon0, omega)
 
-                assert np.array_equal(sampler._fd_jacobian(fun, params),
-                                      reference_fd_jacobian(fun, params))
+                r, J = sampler._residual_and_jacobian(fun, params)
+                want_r, want_J = reference_residual_and_jacobian(fun, params)
+                assert r.shape == want_r.shape and np.array_equal(r, want_r)
+                assert np.array_equal(J, want_J)
                 stack = params + rng.uniform(-1e-3, 1e-3, (4, params.size))
                 assert np.array_equal(fun(stack), np.array([fun(row) for row in stack]))
 
@@ -233,7 +239,7 @@ class TestStackedJacobian:
                                   np.array([opposite_side_heights(W) for W in V]))
 
     def test_grid_solves_equal_column_by_column(self, sample_grid, monkeypatch):
-        monkeypatch.setattr(sampler, "_fd_jacobian", reference_fd_jacobian)
+        monkeypatch.setattr(sampler, "_residual_and_jacobian", reference_residual_and_jacobian)
         for (n, omega), batch in sample_grid.cells.items():
             for got in batch[:20]:
                 want = sample_reduced(got.config)
@@ -245,3 +251,28 @@ class TestStackedJacobian:
                 assert (got.polygon is None) == (want.polygon is None)
                 if got.polygon is not None:
                     assert np.array_equal(got.polygon.as_array(), want.polygon.as_array())
+
+    def test_one_residual_call_per_accepted_step(self, sample_grid, monkeypatch):
+        # A solve that rejects no trial takes one damped step per iteration;
+        # it then evaluates the start and each accepted trial once.
+        calls = {"heights": 0, "steps": 0}
+
+        def counted(name, fun):
+            def wrapper(*args):
+                calls[name] += 1
+                return fun(*args)
+            return wrapper
+
+        monkeypatch.setattr(sampler, "opposite_side_heights",
+                            counted("heights", sampler.opposite_side_heights))
+        monkeypatch.setattr(sampler, "_damped_step", counted("steps", sampler._damped_step))
+        checked = 0
+        for batch in sample_grid.cells.values():
+            for got in batch[:20]:
+                calls.update(heights=0, steps=0)
+                res = sample_reduced(got.config)
+                assert res.iterations == got.iterations
+                if calls["steps"] == res.iterations:
+                    assert calls["heights"] == res.iterations + 1
+                    checked += 1
+        assert checked > 0
