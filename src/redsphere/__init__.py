@@ -18,7 +18,6 @@ from .errors import (
     PolygonDocumentError,
     RedsphereError,
 )
-from .sphere_core import SpherePoint, angle_at, distance
 from .formulas import (
     RegularMetrics,
     arm_from_angle,
@@ -69,8 +68,6 @@ __all__ = [
     # errors
     "RedsphereError", "DomainError", "DegeneratePoint",
     "DegenerateProjection", "DegenerateAngle", "NotConvex", "NotInHemisphere", "NoEnclosingCap", "PolygonDocumentError",
-    # sphere core
-    "SpherePoint", "distance", "angle_at",
     # closed forms
     "RegularMetrics", "x_limit", "regular_triangle_half_angle",
     "arm_length", "crossing_angle", "crossing_angle_inv", "arm_from_angle",

@@ -154,8 +154,9 @@ class SphericalPolygon:
         """The polygon of the rows of an (n, 3) array-like V, in order.
 
         Each row is normalized once: divided by the square root of
-        (x*x + y*y) + z*z, the operations of sphere_core's scalar points,
-        so a row gives the unit vector its point gives, bit for bit.
+        (x*x + y*y) + z*z, in that order, so the tests' scalar point oracle
+        gives the same unit vector bit for bit.  A row whose norm is NaN or
+        infinite raises DomainError.
         """
         try:
             V = np.asarray(V, dtype=float)
@@ -165,6 +166,9 @@ class SphericalPolygon:
             raise DomainError(f"vertices must be an (n, 3) array, got shape {V.shape}")
         x, y, z = V.T
         norm = np.sqrt((x * x + y * y) + z * z)
+        bad = np.flatnonzero(~np.isfinite(norm))
+        if bad.size:
+            raise DomainError(f"vertex {bad[0]} has a non-finite norm ({norm[bad[0]]})")
         short = np.flatnonzero(norm < 1e-12)
         if short.size:
             raise DegeneratePoint(
@@ -364,8 +368,11 @@ def reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL) -> Reduce
     vertex-to-opposite-side distances stays within tol.
 
     The witness is computed once per polygon and tol: polygons are
-    immutable, so a later call returns the same witness object.
+    immutable, so a later call returns the same witness object.  A tol that
+    is NaN, infinite or negative raises DomainError.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     witness = polygon._witnesses.get(tol)
     if witness is None:
         witness = polygon._witnesses[tol] = _measure_reduced(polygon, tol)
@@ -417,9 +424,10 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     crosses = c_norm >= 1e-12
     O = C / np.where(crosses, c_norm, 1.0)[:, None]
 
-    # Tangents at v_i toward v_{i+1}, t_i and v_k and at v_k toward v_i and t_i,
-    # as in sphere_core.angle_at.  The vertical angle at a crossing, between its
-    # rays toward v_i and t_k, is the angle between q_i and -q_k for either sign.
+    # Tangents r - (v . r) v at v_i toward v_{i+1}, t_i and v_k and at v_k
+    # toward v_i and t_i, whose _angles are the angles there.  The vertical angle
+    # at a crossing, between its rays toward v_i and t_k, is the angle between
+    # q_i and -q_k for either sign.
     nxt = V[_ring_indices(n)[0]]
     t_next = nxt - _dots(V, nxt)[:, None] * V
     t_foot = F - vf[:, None] * V
@@ -447,11 +455,11 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     minus = on[n:] & ~plus
     O = np.where(minus[:, None], -O, O)
     crosses &= plus | minus
-    # As in angle_at, a crossing on v_i or t_k leaves its vertical angle undefined.
+    # A crossing on v_i or t_k leaves a zero tangent, so no vertical angle.
     crosses &= (np.abs(_dots(O, V)) < 1.0 - SEPARATION_TOL) & (
         np.abs(_dots(O, Fk)) < 1.0 - SEPARATION_TOL)
     phi = np.where(crosses, phi, math.nan)
-    # As in angle_at, a foot t_i on v_k leaves the angle at v_k undefined.
+    # A foot t_i on v_k leaves a zero tangent, so no angle at v_k.
     far = np.where(np.abs(kf) < 1.0 - SEPARATION_TOL, far, math.nan)
     o_foot = np.where(crosses, np.where(minus, o_minus, o_plus), math.nan)
     O[~crosses] = math.nan

@@ -32,10 +32,11 @@ _CRITERIA = {
 
 
 def spherical_row(colat, lon):
-    """The raw vector that SpherePoint.from_spherical(colat, lon) normalizes.
+    """The raw vector at colatitude colat and longitude lon.
 
-    A polygon built from raw rows normalizes each row once, so its vertices
-    are the points' vectors bit for bit.
+    test_sphere_core's SpherePoint.from_spherical(colat, lon) normalizes
+    this vector; a polygon built from raw rows normalizes each row once, the
+    same way, so its vertices are the oracle points' vectors bit for bit.
     """
     s = math.sin(colat)
     return [s * math.cos(lon), s * math.sin(lon), math.cos(colat)]

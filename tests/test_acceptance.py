@@ -8,17 +8,17 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from conftest import GRID_N, GRID_OMEGA
 from test_sampler import _alignment_deviation
+from test_sphere_core import SpherePoint, distance, tangent_rows
 
 from redsphere import (
     OMEGA_GRID,
     TABLE1_REFERENCE,
     SamplerConfig,
-    SpherePoint,
-    angle_at,
     arm_from_angle,
     arm_length,
     build_regular,
@@ -26,13 +26,13 @@ from redsphere import (
     covering_radius_bound,
     diameter_bound,
     diameter_bound_coarse,
-    distance,
     reduced_check,
     regular_metrics,
     regular_triangle_half_angle,
     reproduce_table1,
     sample_reduced,
 )
+from redsphere.sphere_core import _angles
 
 NS_CLOSED_FORM = (3, 5, 7, 9, 21)
 
@@ -179,13 +179,16 @@ def test_criterion_10_triangle_sampling_is_rigid():
         assert _alignment_deviation(res.polygon.as_array(), target) < 1e-6, seed
 
 
-def _measured_right_triangle(a, b):
-    pole = SpherePoint(0.0, 0.0, 1.0)
-    vert_b = SpherePoint(math.sin(a), 0.0, math.cos(a))
-    vert_a = SpherePoint(0.0, math.sin(b), math.cos(b))
-    c = distance(vert_a, vert_b)
-    ang_a = angle_at(vert_a, pole, vert_b)
-    ang_b = angle_at(vert_b, pole, vert_a)
+def _measured_right_triangles(a, b):
+    """The hypotenuse c and the angles A, B of the right triangles with legs
+    a, b along two meridians from the pole, measured by the kernel."""
+    pole = np.broadcast_to([0.0, 0.0, 1.0], (len(a), 3))
+    vert_b = np.stack([np.sin(a), np.zeros_like(a), np.cos(a)], axis=1)
+    vert_a = np.stack([np.zeros_like(b), np.sin(b), np.cos(b)], axis=1)
+    verts = np.concatenate([vert_a, vert_b])
+    c = _angles(vert_a, vert_b)
+    ang_a, ang_b = _angles(tangent_rows(verts, np.concatenate([pole, pole])),
+                           tangent_rows(verts, np.concatenate([vert_b, vert_a]))).reshape(2, -1)
     return c, ang_a, ang_b
 
 
@@ -194,33 +197,33 @@ def _random_unit(rng):
         v = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
         norm = math.sqrt(sum(x * x for x in v))
         if norm > 1e-3:
-            return SpherePoint(v[0] / norm, v[1] / norm, v[2] / norm)
+            return np.array(v) / norm
 
 
 def test_criterion_11_kernel_identities():
     rng = random.Random(2026)
-    for _ in range(10_000):
-        a = rng.uniform(0.1, 1.4)
-        b = rng.uniform(0.1, 1.4)
-        c, A, B = _measured_right_triangle(a, b)
-        cot_c = math.cos(c) / math.sin(c)
-        assert abs(math.cos(A) - math.tan(b) * cot_c) < 1e-10
-        assert abs(math.cos(B) - math.tan(a) * cot_c) < 1e-10
-        assert abs(math.sin(b) - math.sin(c) * math.sin(B)) < 1e-10
-        assert abs(math.cos(c) - math.cos(a) * math.cos(b)) < 1e-10
-        assert abs(math.cos(c) - (math.cos(A) / math.sin(A))
-                   * (math.cos(B) / math.sin(B))) < 1e-10
-        assert abs(math.cos(B) - math.cos(b) * math.sin(A)) < 1e-10
+    legs = np.array([(rng.uniform(0.1, 1.4), rng.uniform(0.1, 1.4)) for _ in range(10_000)])
+    a, b = legs.T
+    c, A, B = _measured_right_triangles(a, b)
+    cot_c = np.cos(c) / np.sin(c)
+    for residual in (np.cos(A) - np.tan(b) * cot_c,
+                     np.cos(B) - np.tan(a) * cot_c,
+                     np.sin(b) - np.sin(c) * np.sin(B),
+                     np.cos(c) - np.cos(a) * np.cos(b),
+                     np.cos(c) - (np.cos(A) / np.sin(A)) * (np.cos(B) / np.sin(B)),
+                     np.cos(B) - np.cos(b) * np.sin(A)):
+        assert np.max(np.abs(residual)) < 1e-10
 
     done = 0
     while done < 2000:
-        u, v, w = (_random_unit(rng) for _ in range(3))
-        sides = (distance(v, w), distance(w, u), distance(u, v))
+        V = np.array([_random_unit(rng) for _ in range(3)])
+        # Per vertex u, v, w: the side opposite it, and the angle there.
+        nxt, prv = V[[1, 2, 0]], V[[2, 0, 1]]
+        sides, angles = _angles(np.concatenate([nxt, tangent_rows(V, nxt)]),
+                                np.concatenate([prv, tangent_rows(V, prv)])).reshape(2, 3)
         if min(sides) < 0.05 or max(sides) > math.pi - 0.05:
             continue
-        angles = (angle_at(u, v, w), angle_at(v, w, u), angle_at(w, u, v))
-        products = [math.sin(ang) / math.sin(side)
-                    for ang, side in zip(angles, sides)]
+        products = np.sin(angles) / np.sin(sides)
         # Cross-multiplied residuals keep the check stable near degeneracy.
         for i in range(3):
             j = (i + 1) % 3

@@ -16,8 +16,11 @@ from test_sphere_core import (
     GreatCircle,
     Lune,
     NoIntersection,
+    SpherePoint,
+    angle_at,
     antipode,
     arc_intersection,
+    distance,
     project_to_circle,
 )
 
@@ -33,12 +36,9 @@ from redsphere import (
     PolygonDocumentError,
     ReducedWitness,
     SamplerConfig,
-    SpherePoint,
     SphericalPolygon,
-    angle_at,
     build_regular,
     diameter_bound,
-    distance,
     load_polygon,
     polygon_from_doc,
     polygon_to_doc,
@@ -80,8 +80,8 @@ def arc_parameter(arc: Arc, p: SpherePoint) -> float:
     return distance(arc.a, p) / arc.length
 
 
-# The per-vertex reduced_check built on the sphere_core objects, kept as the
-# oracle of the array implementation in redsphere.polygon.
+# The per-vertex reduced_check built on test_sphere_core's scalar objects, kept
+# as the oracle of the array implementation in redsphere.polygon.
 def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL) -> ReducedWitness:
     """Decide reducedness and collect the per-vertex witness data.
 
@@ -367,6 +367,15 @@ class TestFromArray:
         with pytest.raises(DomainError, match=r"\(n, 3\) array"):
             SphericalPolygon(V)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_row_names_its_vertex(self, bad):
+        # Raised before the row is divided by its norm, so without a RuntimeWarning.
+        V = build_regular(5, QUARTER_PI).as_array()
+        V[3, 1] = bad
+        V[4, 0] = -bad
+        with pytest.raises(DomainError, match=f"vertex 3 has a non-finite norm \\({bad}\\)"):
+            SphericalPolygon(V)
+
 
 class TestOppositeSide:
     def test_triangle(self):
@@ -452,6 +461,15 @@ class TestReducedCheck:
         assert reduced_check(crooked_heptagon, tol=REDUCED_TOL) is w
         loose = reduced_check(crooked_heptagon, tol=1e-3)
         assert loose is not w and reduced_check(crooked_heptagon, tol=1e-3) is loose
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
+    def test_bad_tolerance_rejected_before_the_cache(self, tol):
+        P = build_regular(5, QUARTER_PI)
+        for _ in range(5):
+            with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+                reduced_check(P, tol=tol)
+            reduced_check(P)
+        assert list(P._witnesses) == [REDUCED_TOL]
 
     def test_witness_thickness_matches_polygon_thickness(self, crooked_heptagon):
         w = reduced_check(crooked_heptagon)

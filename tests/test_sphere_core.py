@@ -1,11 +1,11 @@
-"""Kernel geometry: distances and angles, plus the circle, arc and lune oracles."""
+"""The row-wise kernel, and the scalar point, circle, arc and lune oracles."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from redsphere import (
@@ -13,15 +13,96 @@ from redsphere import (
     DegeneratePoint,
     DegenerateProjection,
     RedsphereError,
-    SpherePoint,
-    angle_at,
-    distance,
 )
-from redsphere.sphere_core import ON_ARC_TOL, SEPARATION_TOL, _cross, _norm_rows
+from redsphere.sphere_core import ON_ARC_TOL, SEPARATION_TOL, _angles, _norm_rows
 
 
-# Great circles and arcs as objects.  No library code uses them; they are
-# the building blocks of the per-vertex oracles in test_polygon.
+# Points, great circles and arcs as objects.  No library code uses them;
+# they are the building blocks of the per-vertex oracles in test_polygon.
+
+
+def _cross(ax: float, ay: float, az: float,
+           bx: float, by: float, bz: float) -> tuple[float, float, float]:
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+
+
+def _angle(ax: float, ay: float, az: float,
+           bx: float, by: float, bz: float) -> float:
+    """Angle in [0, pi] between two nonzero vectors: atan2(|a x b|, a . b)."""
+    return math.atan2(math.hypot(*_cross(ax, ay, az, bx, by, bz)),
+                      ax * bx + ay * by + az * bz)
+
+
+@dataclass(frozen=True)
+class SpherePoint:
+    """A point on the unit sphere; renormalized on construction.
+
+    The norm is sqrt((x*x + y*y) + z*z), as SphericalPolygon computes it
+    per row, so a point and a polygon row of the same raw vector agree
+    bit for bit.
+    """
+
+    x: float
+    y: float
+    z: float
+
+    def __post_init__(self) -> None:
+        n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        if n < 1e-12:
+            raise DegeneratePoint(f"vector too short to normalize (norm={n!r})")
+        object.__setattr__(self, "x", self.x / n)
+        object.__setattr__(self, "y", self.y / n)
+        object.__setattr__(self, "z", self.z / n)
+
+    @classmethod
+    def from_vec(cls, v) -> "SpherePoint":
+        return cls(float(v[0]), float(v[1]), float(v[2]))
+
+    @classmethod
+    def from_spherical(cls, colat: float, lon: float) -> "SpherePoint":
+        """Point at the given colatitude from +z and longitude from +x."""
+        s = math.sin(colat)
+        return cls(s * math.cos(lon), s * math.sin(lon), math.cos(colat))
+
+    @property
+    def vec(self) -> np.ndarray:
+        return np.array([self.x, self.y, self.z])
+
+    def dot(self, other: "SpherePoint") -> float:
+        return self.x * other.x + self.y * other.y + self.z * other.z
+
+
+def distance(p: SpherePoint, q: SpherePoint) -> float:
+    """Geodesic (angular) distance in [0, pi].
+
+    Computed as atan2(|p x q|, p . q), accurate to about eps at every arc
+    length; acos(p . q) would return 0 for arcs shorter than about 1e-8.
+    """
+    return _angle(p.x, p.y, p.z, q.x, q.y, q.z)
+
+
+def angle_at(vertex: SpherePoint, p: SpherePoint, q: SpherePoint) -> float:
+    """Angle at `vertex` between the arcs toward p and toward q, in [0, pi].
+
+    The angle between the tangents t = r - (vertex . r) vertex of the two
+    rays, taken as atan2(|t0 x t1|, t0 . t1) so that small angles keep full
+    precision.
+    """
+    tangents = []
+    for r in (p, q):
+        d = vertex.dot(r)
+        if abs(d) >= 1.0 - SEPARATION_TOL:
+            raise DegenerateAngle("ray endpoint coincident or antipodal with vertex")
+        tangents.append((r.x - d * vertex.x, r.y - d * vertex.y, r.z - d * vertex.z))
+    return _angle(*tangents[0], *tangents[1])
+
+
+def tangent_rows(V: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Rows r - (v . r) v: the tangents at the unit rows v toward the rows r.
+
+    _angles of two tangent rows at one vertex is the angle there.
+    """
+    return R - np.einsum("ij,ij->i", V, R)[:, None] * V
 
 
 class DegenerateArc(RedsphereError):
@@ -133,6 +214,11 @@ def sphere_points(draw):
     return SpherePoint(x, y, z)
 
 
+def _rows(*points):
+    """The unit vectors of points, as the rows of an array."""
+    return np.array([p.vec for p in points])
+
+
 def _rng_point(rng):
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
@@ -173,18 +259,21 @@ class TestNormRows:
 
 
 class TestDistance:
+    """Geodesic distances as the library takes them: _angles of unit rows."""
+
     def test_identity(self):
-        assert distance(EZ, EZ) == 0.0
+        assert _angles(_rows(EZ), _rows(EZ))[0] == 0.0
 
     def test_antipodes(self):
-        assert distance(EZ, SpherePoint(0.0, 0.0, -1.0)) == pytest.approx(math.pi)
+        assert _angles(_rows(EZ), -_rows(EZ))[0] == pytest.approx(math.pi)
 
     def test_orthogonal(self):
-        assert distance(EX, EY) == pytest.approx(0.5 * math.pi)
+        assert _angles(_rows(EX), _rows(EY))[0] == pytest.approx(0.5 * math.pi)
 
     @given(p=sphere_points(), q=sphere_points())
     def test_symmetry(self, p, q):
-        assert distance(p, q) == distance(q, p)
+        d_pq, d_qp = _angles(_rows(p, q), _rows(q, p))
+        assert d_pq == d_qp
 
     @given(p=sphere_points(), q=sphere_points(), r=sphere_points())
     def test_triangle_inequality(self, p, q, r):
@@ -192,7 +281,8 @@ class TestDistance:
         # beyond the 1e-12 budget without changing the geometry.
         for u, v in ((p, q), (q, r), (p, r)):
             assume(abs(u.dot(v)) <= 1.0 - 1e-6)
-        assert distance(p, r) <= distance(p, q) + distance(q, r) + 1e-12
+        d_pq, d_qr, d_pr = _angles(_rows(p, q, p), _rows(q, r, r))
+        assert d_pr <= d_pq + d_qr + 1e-12
 
 
 class TestProjection:
@@ -241,7 +331,8 @@ class TestProjection:
         assume(abs(p.dot(pole)) < 1.0 - 1e-6)
         circle = GreatCircle(pole)
         t = project_to_circle(p, circle)
-        assert abs(abs(0.5 * math.pi - distance(p, circle.pole)) - distance(p, t)) < 1e-10
+        to_pole, to_foot = _angles(_rows(p, p), _rows(circle.pole, t))
+        assert abs(abs(0.5 * math.pi - to_pole) - to_foot) < 1e-10
 
     def test_circle_distance_trivials(self):
         c = GreatCircle(EZ)
@@ -319,7 +410,8 @@ class TestAngleAt:
         # Small enough that acos of the tangent dot product loses half of it.
         p = _march(EZ, EX, 0.5)
         q = _march(EZ, SpherePoint(1.0, math.tan(1e-8), 0.0), 0.5)
-        assert abs(angle_at(EZ, p, q) - 1e-8) < 1e-15
+        T = tangent_rows(_rows(EZ, EZ), _rows(p, q))
+        assert abs(_angles(T[:1], T[1:])[0] - 1e-8) < 1e-15
 
     def test_sine_rule_on_random_triangles(self):
         rng = np.random.default_rng(424242)
@@ -329,17 +421,34 @@ class TestAngleAt:
             dots = (abs(p.dot(q)), abs(q.dot(r)), abs(p.dot(r)))
             if max(dots) > 0.95:
                 continue
-            side_a, side_b, side_c = distance(q, r), distance(p, r), distance(p, q)
-            ang_a = angle_at(p, q, r)
-            ang_b = angle_at(q, p, r)
-            ang_c = angle_at(r, p, q)
-            if min(ang_a, ang_b, ang_c) < 0.05:
+            # Per vertex: the side opposite it, and the angle there.
+            V = _rows(p, q, r)
+            nxt, prv = V[[1, 2, 0]], V[[2, 0, 1]]
+            sides, angles = _angles(
+                np.concatenate([nxt, tangent_rows(V, nxt)]),
+                np.concatenate([prv, tangent_rows(V, prv)])).reshape(2, 3)
+            if angles.min() < 0.05:
                 continue
-            ratios = (math.sin(ang_a) / math.sin(side_a),
-                      math.sin(ang_b) / math.sin(side_b),
-                      math.sin(ang_c) / math.sin(side_c))
-            assert max(ratios) - min(ratios) < 1e-9
+            ratios = np.sin(angles) / np.sin(sides)
+            assert ratios.max() - ratios.min() < 1e-9
             checked += 1
+
+
+class TestOraclesMatchKernel:
+    """The scalar distance and angle_at agree with _angles, so the
+    per-vertex oracles built on them stay evidence for the array code."""
+
+    def test_distance_and_angle_at_agree_with_angles(self):
+        rng = np.random.default_rng(20261018)
+        points = [SpherePoint.from_vec(v) for v in rng.standard_normal((60_000, 3))]
+        verts, ps, qs = points[0::3], points[1::3], points[2::3]
+        V, P, Q = _rows(*verts), _rows(*ps), _rows(*qs)
+        dist = _angles(V, P)
+        ang = _angles(tangent_rows(V, P), tangent_rows(V, Q))
+        want_dist = [distance(v, p) for v, p in zip(verts, ps)]
+        want_ang = [angle_at(v, p, q) for v, p, q in zip(verts, ps, qs)]
+        assert np.max(np.abs(dist - want_dist)) < 1e-13
+        assert np.max(np.abs(ang - want_ang)) < 1e-13
 
 
 @dataclass(frozen=True)
