@@ -8,9 +8,7 @@ extremal claims about their perimeter, diameter and smallest enclosing cap.
 """
 
 from .errors import (
-    DegenerateAngle,
     DegeneratePoint,
-    DegenerateProjection,
     DomainError,
     NoEnclosingCap,
     NotConvex,
@@ -66,8 +64,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "RedsphereError", "DomainError", "DegeneratePoint",
-    "DegenerateProjection", "DegenerateAngle", "NotConvex", "NotInHemisphere", "NoEnclosingCap", "PolygonDocumentError",
+    "RedsphereError", "DomainError", "DegeneratePoint", "NotConvex", "NotInHemisphere",
+    "NoEnclosingCap", "PolygonDocumentError",
     # closed forms
     "RegularMetrics", "x_limit", "regular_triangle_half_angle",
     "arm_length", "crossing_angle", "crossing_angle_inv", "arm_from_angle",

@@ -18,14 +18,6 @@ class DegeneratePoint(RedsphereError):
     """A vector too short to normalize onto the unit sphere."""
 
 
-class DegenerateProjection(RedsphereError):
-    """Point is (anti)parallel to the circle pole; projection undefined."""
-
-
-class DegenerateAngle(RedsphereError):
-    """Angle vertex coincident or antipodal with a ray endpoint."""
-
-
 class NotConvex(RedsphereError):
     """Vertex list is not a strictly convex counterclockwise polygon."""
 

@@ -21,9 +21,7 @@ import numpy as np
 
 from . import formulas
 from .errors import (
-    DegenerateAngle,
     DegeneratePoint,
-    DegenerateProjection,
     DomainError,
     NoEnclosingCap,
     NotConvex,
@@ -156,7 +154,7 @@ class SphericalPolygon:
         Each row is normalized once: divided by the square root of
         (x*x + y*y) + z*z, in that order, so the tests' scalar point oracle
         gives the same unit vector bit for bit.  A row whose norm is NaN or
-        infinite raises DomainError.
+        infinite, including one whose squares overflow, raises DomainError.
         """
         try:
             V = np.asarray(V, dtype=float)
@@ -165,7 +163,8 @@ class SphericalPolygon:
         if V.ndim != 2 or V.shape[1] != 3:
             raise DomainError(f"vertices must be an (n, 3) array, got shape {V.shape}")
         x, y, z = V.T
-        norm = np.sqrt((x * x + y * y) + z * z)
+        with np.errstate(over="ignore"):
+            norm = np.sqrt((x * x + y * y) + z * z)
         bad = np.flatnonzero(~np.isfinite(norm))
         if bad.size:
             raise DomainError(f"vertex {bad[0]} has a non-finite norm ({norm[bad[0]]})")
@@ -343,6 +342,16 @@ class ReducedWitness:
     crossing_foot_distances: tuple[float, ...] = ()
 
 
+# reduced_check's reason for a polygon whose angles it cannot measure.
+_NO_ANGLE = "ray endpoint coincident or antipodal with vertex"
+
+
+def _failed(polygon: SphericalPolygon, residual: float, reason: str) -> ReducedWitness:
+    """The witness of a polygon that fails before its vertices are measured."""
+    return ReducedWitness(thickness=polygon.thickness(), is_reduced=False,
+                          max_residual=residual, reason=reason)
+
+
 def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
@@ -387,30 +396,36 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     v_i - (v_i . p) p, normalized.  It is interior when its signed arc
     parameter from v_j lies in (EDGE_EPS, 1 - EDGE_EPS) times the side
     length.  The spokes v_i -> t_i and v_k -> t_k cross at +-(q_i x q_k),
-    with q the unit spoke poles; the sign whose arc parameters land on both
-    closed spokes is taken.  A point x at signed parameter s on the great
-    circle of an arc (a, b) of length D has d(a, x) + d(x, b) - D equal to
+    with q the unit spoke poles.  Every spoke is shorter than pi/2, since
+    v_i is no pole of its side, so only the sign at a positive dot with v_i
+    can land on both closed spokes; that sign is taken, + on a tie, and
+    tested.  A point x at signed parameter s on the great circle of an arc
+    (a, b) of length D has d(a, x) + d(x, b) - D equal to
     2 max(-s, s - D, 0), so a slack of ON_ARC_TOL on that arc-length sum
     allows s in [-ON_ARC_TOL/2, D + ON_ARC_TOL/2].  Every angle and arc comes
-    from one stacked _angles call, |o_i t_i| for both signs of the crossing.
+    from one stacked _angles call.
+
+    A polygon it cannot measure fails in-band: a vertex at the pole of its
+    side, a foot on or opposite its vertex, or, for a polygon that passes
+    otherwise, a foot t_i on v_k, where the claims' far angle is undefined.
+    Its witness has max_residual inf and the cause as reason.
     """
     n = polygon.n
     if n % 2 == 0:
-        return ReducedWitness(thickness=polygon.thickness(), is_reduced=False,
-                              max_residual=math.nan, reason=f"not an odd-gon: n={n}")
+        return _failed(polygon, math.nan, f"not an odd-gon: n={n}")
 
     V = polygon._array
     j, k, P = _opposite_poles(V)
     h = _dots(V, P)
     if _degenerate(h):
-        raise DegenerateProjection("point coincides with a circle pole")
+        return _failed(polygon, math.inf, "point coincides with a circle pole")
     F = V - h[:, None] * P
     F /= _norm_rows(F)[:, None]
     Vk, Fk = V[k], F[k]
     vf = _dots(V, F)
     vk = _dots(V, Vk)
     if _degenerate(vf) or _degenerate(vk):
-        raise DegenerateAngle("ray endpoint coincident or antipodal with vertex")
+        return _failed(polygon, math.inf, _NO_ANGLE)
     kf = _dots(Vk, F)
 
     # Spoke poles q_i and the unit tangent at v_j along its side.
@@ -423,6 +438,7 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     c_norm = _norm_rows(C)
     crosses = c_norm >= 1e-12
     O = C / np.where(crosses, c_norm, 1.0)[:, None]
+    O[_dots(O, V) < 0.0] *= -1.0
 
     # Tangents r - (v . r) v at v_i toward v_{i+1}, t_i and v_k and at v_k
     # toward v_i and t_i, whose _angles are the angles there.  The vertical angle
@@ -434,49 +450,39 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     t_far = Vk - vk[:, None] * V
     u_near = V - vk[:, None] * Vk
     u_foot = F - kf[:, None] * Vk
-    signed = np.concatenate([O, -O])
-    ang = _angles(np.concatenate([V, V[j], t_next, t_foot, Q, u_near, V, F, signed]),
-                  np.concatenate([F, Vk, t_foot, t_far, -Q[k], u_foot, Fk, Vk, F, F]))
-    dist, side, alpha, beta, phi, far, near_arc, far_arc, o_plus, o_minus = ang.reshape(10, n)
+    ang = _angles(np.concatenate([V, V[j], t_next, t_foot, Q, u_near, V, F, O]),
+                  np.concatenate([F, Vk, t_foot, t_far, -Q[k], u_foot, Fk, Vk, F]))
+    dist, side, alpha, beta, phi, far, near_arc, far_arc, o_foot = ang.reshape(9, n)
 
     theta = _arc_parameter(F, V[j], S)
     interior = (EDGE_EPS * side < theta) & (theta < (1.0 - EDGE_EPS) * side)
 
     slack = 0.5 * ON_ARC_TOL
-
-    # Both signs of every crossing at once: rows [O; -O] against the spokes twice.
-    twice = np.arange(2 * n) % n
-    kk = k[twice]
-    s_i = _arc_parameter(signed, V[twice], T[twice])
-    s_k = _arc_parameter(signed, V[kk], T[kk])
-    on = ((-slack <= s_i) & (s_i <= dist[twice] + slack)
-          & (-slack <= s_k) & (s_k <= dist[kk] + slack))
-    plus = on[:n]
-    minus = on[n:] & ~plus
-    O = np.where(minus[:, None], -O, O)
-    crosses &= plus | minus
+    s_i = _arc_parameter(O, V, T)
+    s_k = _arc_parameter(O, Vk, T[k])
+    crosses &= ((-slack <= s_i) & (s_i <= dist + slack)
+                & (-slack <= s_k) & (s_k <= dist[k] + slack))
     # A crossing on v_i or t_k leaves a zero tangent, so no vertical angle.
     crosses &= (np.abs(_dots(O, V)) < 1.0 - SEPARATION_TOL) & (
         np.abs(_dots(O, Fk)) < 1.0 - SEPARATION_TOL)
     phi = np.where(crosses, phi, math.nan)
     # A foot t_i on v_k leaves a zero tangent, so no angle at v_k.
     far = np.where(np.abs(kf) < 1.0 - SEPARATION_TOL, far, math.nan)
-    o_foot = np.where(crosses, np.where(minus, o_minus, o_plus), math.nan)
+    o_foot = np.where(crosses, o_foot, math.nan)
     O[~crosses] = math.nan
     F.flags.writeable = O.flags.writeable = False
 
     thickness = float(np.min(dist))
     spread = float(np.max(dist)) - thickness
-    all_interior = bool(np.all(interior))
-    if not all_interior:
+    if not np.all(interior):
         reason = "projection foot outside the open side interior"
     elif spread > tol:
         reason = f"distance spread {spread:.3e} exceeds tolerance {tol:.1e}"
+    elif _degenerate(kf):
+        # The claims read the far angles of every polygon that passes.
+        reason, spread = _NO_ANGLE, math.inf
     else:
         reason = None
-        if _degenerate(kf):
-            # The claims read the far angles of every polygon that passes.
-            raise DegenerateAngle("ray endpoint coincident or antipodal with vertex")
     return ReducedWitness(
         feet=F,
         foot_distances=tuple(dist.tolist()),
@@ -489,7 +495,7 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
         crossing_angles=tuple(phi.tolist()),
         crossing_foot_distances=tuple(o_foot.tolist()),
         thickness=thickness,
-        is_reduced=all_interior and spread <= tol,
+        is_reduced=reason is None,
         max_residual=spread,
         reason=reason,
     )

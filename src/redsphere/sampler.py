@@ -241,19 +241,15 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     failure: Optional[str] = None if converged else (stall_reason or "max_iterations reached")
     try:
         polygon = SphericalPolygon(_embed(params, n, lon0))
-        witness = reduced_check(polygon, tol=REDUCED_TOL)
     except RedsphereError as exc:
-        polygon = None
-        witness = None
         if converged:
             converged = False
             failure = f"degenerate geometry at the solution: {exc}"
     else:
+        witness = reduced_check(polygon, tol=REDUCED_TOL)
         if converged and not witness.is_reduced:
             converged = False
-            failure = "constraint violation: " + (
-                witness.reason or "distance spread exceeded the reduced tolerance"
-            )
+            failure = "constraint violation: " + witness.reason
     return SampleResult(
         polygon=polygon,
         witness=witness,

@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, RedsphereError
+from .errors import DomainError
 from .formulas import (
     arm_from_angle,
     arm_length,
@@ -57,7 +57,7 @@ from .formulas import (
     regular_triangle_half_angle,
     x_limit,
 )
-from .polygon import ReducedWitness, SphericalPolygon, reduced_check
+from .polygon import REDUCED_TOL, ReducedWitness, SphericalPolygon, reduced_check
 from .sampler import SampleResult
 
 __all__ = [
@@ -180,28 +180,24 @@ def check_bound_gap(thickness: float) -> VerificationReport:
     return _report("diameter-bound-gap", f"thickness={thickness:.9g}", gap, 0.0, 1e-6, "gt")
 
 
-def check_regular_monotonicity(thickness: float, k_max: int = 51) -> VerificationReport:
-    """Regular perimeters strictly decrease over odd n = 3, 5, ..., k_max."""
-    if k_max < 5:
-        raise ValueError(f"k_max={k_max!r} must be >= 5")
-    ks = range(3, k_max + 1, 2)
-    perims = [regular_metrics(k, thickness).perimeter for k in ks]
+def check_regular_monotonicity(thickness: float) -> VerificationReport:
+    """Regular perimeters strictly decrease over odd n = 3, 5, ..., 51."""
+    perims = [regular_metrics(k, thickness).perimeter for k in range(3, 52, 2)]
     worst = max(b - a for a, b in zip(perims, perims[1:]))
     return _report("regular-perimeter-monotone",
-                   f"thickness={thickness:.9g} k=3..{k_max}", worst, 0.0, 1e-10, "lt")
+                   f"thickness={thickness:.9g} k=3..51", worst, 0.0, 1e-10, "lt")
 
 
-def check_scalar_lemmas(lambda_grid: Sequence[float] = LAMBDA_GRID,
-                        points: int = 1000) -> list[VerificationReport]:
+def check_scalar_lemmas() -> list[VerificationReport]:
     """Grid monotonicity/convexity of the scalar maps, three claims per lam.
 
+    Over 1000 interior grid points for each lam of LAMBDA_GRID:
     arm_length/crossing_angle strictly decreasing in x; arm_from_angle
     strictly increasing and strictly convex in the crossing angle.
     """
-    if points < 100:
-        raise ValueError(f"points={points!r} must be >= 100")
+    points = 1000
     out = []
-    for lam in lambda_grid:
+    for lam in LAMBDA_GRID:
         tag = f"lam={lam:.9g} points={points}"
         xs = x_limit(lam) * np.arange(1, points + 1) / (points + 1)
         ratio = np.array([arm_length(x, lam) / crossing_angle(x, lam) for x in xs])
@@ -338,19 +334,14 @@ def full_suite(samples: Sequence[SampleResult],
             reports.append(_report("sample-rejected", f"{tag} reason={reason}",
                                    sample.final_residual, 0.0, math.inf, "le"))
             continue
-        try:
-            witness = reduced_check(sample.polygon)
-        except RedsphereError as exc:
-            reports.append(_report("reduced-check", f"{tag} reason={exc}",
-                                   math.inf, 0.0, 1e-7, "le"))
-            continue
+        witness = reduced_check(sample.polygon)
         if not witness.is_reduced:
-            reason = witness.reason or "distance spread over tolerance"
             measured = witness.max_residual if all(witness.foot_interior) else math.inf
-            reports.append(_report("reduced-check", f"{tag} reason={reason}",
-                                   measured, 0.0, 1e-7, "le"))
+            reports.append(_report("reduced-check", f"{tag} reason={witness.reason}",
+                                   measured, 0.0, REDUCED_TOL, "le"))
             continue
-        reports.append(_report("reduced-check", tag, witness.max_residual, 0.0, 1e-7, "le"))
+        reports.append(_report("reduced-check", tag, witness.max_residual, 0.0,
+                               REDUCED_TOL, "le"))
         reports.extend(polygon_reports(sample.polygon, witness,
                                        sample.config.thickness, tag))
     return reports

@@ -94,6 +94,15 @@ class TestMetrics:
         assert set(payload) == {"n", "thickness", "perimeter", "diameter",
                                 "circumcap_radius", "is_reduced", "max_residual"}
 
+    def test_unmeasurable_polygon_is_not_an_input_error(self, capsys, tmp_path):
+        # v_0 is the pole of the side v_1 v_2, so reduced_check rejects it in-band.
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps({"vertices": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}))
+        code, out, err = run(capsys, "metrics", "--in", str(path))
+        assert code == 0 and not err
+        payload = json.loads(out)
+        assert payload["is_reduced"] is False and payload["max_residual"] == math.inf
+
 
 class TestVerifyFailures:
     def test_even_gon_fails_with_reason(self, capsys, tmp_path):

@@ -12,7 +12,9 @@ from conftest import pulled_regular, side_end_triangle, spherical_row
 from test_sphere_core import (
     Arc,
     CoplanarArcs,
+    DegenerateAngle,
     DegenerateArc,
+    DegenerateProjection,
     GreatCircle,
     Lune,
     NoIntersection,
@@ -27,7 +29,6 @@ from test_sphere_core import (
 from redsphere import (
     OMEGA_GRID,
     Cap,
-    DegenerateAngle,
     DegeneratePoint,
     DomainError,
     NoEnclosingCap,
@@ -87,7 +88,10 @@ def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL)
 
     A polygon passes iff its vertex count is odd, every projection foot is
     strictly interior to its side, and the spread of the
-    vertex-to-opposite-side distances stays within tol.
+    vertex-to-opposite-side distances stays within tol.  A polygon whose
+    projections or angles at v_i are undefined, or one that passes otherwise
+    with a far angle undefined, fails with max_residual inf and the cause as
+    reason.
     """
     n = polygon.n
     if n % 2 == 0:
@@ -98,25 +102,31 @@ def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL)
     feet: list[SpherePoint] = []
     dists: list[float] = []
     interior: list[bool] = []
-    for i in range(n):
-        j, k = opposite_side(i, n)
-        circle = GreatCircle.through(verts[j], verts[k])
-        foot = project_to_circle(verts[i], circle)
-        feet.append(foot)
-        dists.append(distance(verts[i], foot))
-        side = Arc(verts[j], verts[k])
-        on_segment = side.contains(foot, tol=EDGE_EPS)
-        u = arc_parameter(side, foot)
-        interior.append(on_segment and EDGE_EPS < u < 1.0 - EDGE_EPS)
-
-    crossings: list[Optional[SpherePoint]] = []
     alphas: list[float] = []
     betas: list[float] = []
+    try:
+        for i in range(n):
+            j, k = opposite_side(i, n)
+            circle = GreatCircle.through(verts[j], verts[k])
+            foot = project_to_circle(verts[i], circle)
+            feet.append(foot)
+            dists.append(distance(verts[i], foot))
+            side = Arc(verts[j], verts[k])
+            on_segment = side.contains(foot, tol=EDGE_EPS)
+            u = arc_parameter(side, foot)
+            interior.append(on_segment and EDGE_EPS < u < 1.0 - EDGE_EPS)
+        for i in range(n):
+            k2 = (i + (n + 1) // 2) % n
+            alphas.append(angle_at(verts[i], verts[(i + 1) % n], feet[i]))
+            betas.append(angle_at(verts[i], feet[i], verts[k2]))
+    except (DegenerateProjection, DegenerateAngle) as exc:
+        return ReducedWitness(thickness=polygon.thickness(), is_reduced=False,
+                              max_residual=math.inf, reason=str(exc))
+
+    crossings: list[Optional[SpherePoint]] = []
     phis: list[float] = []
     for i in range(n):
         k2 = (i + (n + 1) // 2) % n
-        alphas.append(angle_at(verts[i], verts[(i + 1) % n], feet[i]))
-        betas.append(angle_at(verts[i], feet[i], verts[k2]))
         try:
             o = arc_intersection(Arc(verts[i], feet[i]), Arc(verts[k2], feet[k2]))
             phis.append(angle_at(o, verts[i], feet[k2]))
@@ -135,10 +145,10 @@ def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL)
         reason = "projection foot outside the open side interior"
     elif spread > tol:
         reason = f"distance spread {spread:.3e} exceeds tolerance {tol:.1e}"
+    elif any(math.isnan(a) for a in far):
+        reason, spread = "ray endpoint coincident or antipodal with vertex", math.inf
     else:
         reason = None
-        if any(math.isnan(a) for a in far):
-            raise DegenerateAngle("ray endpoint coincident or antipodal with vertex")
     return ReducedWitness(
         feet=feet_rows,
         foot_distances=tuple(dists),
@@ -151,7 +161,7 @@ def reference_reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL)
         crossing_angles=tuple(phis),
         crossing_foot_distances=crossing_feet,
         thickness=thickness,
-        is_reduced=all(interior) and spread <= tol,
+        is_reduced=reason is None,
         max_residual=spread,
         reason=reason,
     )
@@ -367,12 +377,18 @@ class TestFromArray:
         with pytest.raises(DomainError, match=r"\(n, 3\) array"):
             SphericalPolygon(V)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "overflow"],
+                             ids=["nan", "inf", "overflow"])
     def test_non_finite_row_names_its_vertex(self, bad):
-        # Raised before the row is divided by its norm, so without a RuntimeWarning.
+        # Raised before the row is divided by its norm, so without a RuntimeWarning;
+        # a finite row whose squares overflow has an infinite norm.
         V = build_regular(5, QUARTER_PI).as_array()
-        V[3, 1] = bad
-        V[4, 0] = -bad
+        if bad == "overflow":
+            V[3] = [1e200, 1e200, 1.0]
+            bad = math.inf
+        else:
+            V[3, 1] = bad
+            V[4, 0] = -bad
         with pytest.raises(DomainError, match=f"vertex 3 has a non-finite norm \\({bad}\\)"):
             SphericalPolygon(V)
 
@@ -479,7 +495,10 @@ class TestReducedCheck:
         polygons = [s.polygon for batch in sample_grid.cells.values()
                     for s in batch if s.polygon is not None]
         polygons += [build_regular(n, w) for n in (3, 5, 7, 9, 21) for w in OMEGA_GRID]
-        for P in polygons:
+        # Every grid crossing is -(q_i x q_k); random hulls also have + ones.
+        hulls = [P for P in _random_hulls(60, seed=11) if P.n % 2 == 1]
+        assert sum(_plus_crossings(P) for P in hulls) > 0
+        for P in polygons + hulls:
             got, want = reduced_check(P), reference_reduced_check(P)
             assert (got.is_reduced, got.reason, got.foot_interior) == (
                 want.is_reduced, want.reason, want.foot_interior)
@@ -513,11 +532,23 @@ class TestReducedCheck:
         w = reduced_check(P)
         assert not w.is_reduced and all(w.foot_interior)
         assert math.isnan(w.far_angles[0]) and not math.isnan(w.far_angles[1])
-        # A polygon that passes needs every far angle for its claims.
-        with pytest.raises(DegenerateAngle):
-            reduced_check(P, tol=1.0)
-        with pytest.raises(DegenerateAngle):
-            reference_reduced_check(P, tol=1.0)
+        # A polygon that passes otherwise needs every far angle for its claims,
+        # so it fails with the measurements kept.
+        for check in (reduced_check, reference_reduced_check):
+            loose = check(P, tol=1.0)
+            assert (loose.is_reduced, loose.reason, loose.max_residual) == (
+                False, "ray endpoint coincident or antipodal with vertex", math.inf)
+            np.testing.assert_array_equal(loose.foot_distances + loose.far_angles,
+                                          check(P).foot_distances + check(P).far_angles)
+
+    def test_vertex_at_the_pole_of_its_side_fails_in_band(self):
+        # v_0 is the pole of the equator through v_1 and v_2, so it has no foot.
+        P = SphericalPolygon([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        for check in (reduced_check, reference_reduced_check):
+            w = check(P, tol=1.0)
+            assert (w.is_reduced, w.reason, w.max_residual) == (
+                False, "point coincides with a circle pole", math.inf)
+            assert w.thickness == P.thickness() and w.feet.shape == (0, 3)
 
     @pytest.mark.parametrize("beyond, crosses", [(3e-10, True), (7e-10, False)])
     def test_crossing_slack_at_spoke_end(self, beyond, crosses):
@@ -573,6 +604,16 @@ def _triangle_with_crossing_beyond(target):
         else:
             hi = mid
     return build(hi)
+
+
+def _plus_crossings(P):
+    """How many crossings o_i of reduced_check(P) lie on the +(q_i x q_k)
+    side, with q the poles of the spokes v -> t and k = i + (n + 1)/2."""
+    w = reduced_check(P)
+    V = P.as_array()
+    k = (np.arange(P.n) + (P.n + 1) // 2) % P.n
+    Q = np.cross(V, w.feet)
+    return int(np.sum(np.einsum("ij,ij->i", w.crossings, np.cross(Q, Q[k])) > 0.0))
 
 
 def _missing_crossings(w):

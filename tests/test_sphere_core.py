@@ -8,12 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from redsphere import (
-    DegenerateAngle,
-    DegeneratePoint,
-    DegenerateProjection,
-    RedsphereError,
-)
+from redsphere import DegeneratePoint, RedsphereError
 from redsphere.sphere_core import ON_ARC_TOL, SEPARATION_TOL, _angles, _norm_rows
 
 
@@ -103,6 +98,14 @@ def tangent_rows(V: np.ndarray, R: np.ndarray) -> np.ndarray:
     _angles of two tangent rows at one vertex is the angle there.
     """
     return R - np.einsum("ij,ij->i", V, R)[:, None] * V
+
+
+class DegenerateAngle(RedsphereError):
+    """Angle vertex coincident or antipodal with a ray endpoint."""
+
+
+class DegenerateProjection(RedsphereError):
+    """Point is (anti)parallel to the circle pole; projection undefined."""
 
 
 class DegenerateArc(RedsphereError):

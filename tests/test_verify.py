@@ -88,18 +88,10 @@ class TestFormulaChecks:
             assert rep.passed
             assert rep.measured < -1e-10
 
-    def test_monotonicity_needs_enough_terms(self):
-        with pytest.raises(ValueError):
-            check_regular_monotonicity(QUARTER_PI, k_max=3)
-
     def test_scalar_lemmas_grid(self):
         reports = check_scalar_lemmas()
         assert len(reports) == 15
         assert all(rep.passed for rep in reports)
-
-    def test_scalar_lemmas_grid_floor(self):
-        with pytest.raises(ValueError):
-            check_scalar_lemmas(points=50)
 
 
 class TestPolygonReports:
