@@ -3,7 +3,7 @@
 Exit codes: 0 all requested claims hold, 1 a claim failed, 2 usage error,
 3 unreadable or structurally invalid input file.  Stdout carries values
 rounded to 9 significant digits; files written via --out/--report keep
-full precision.
+full precision.  JSON output is strict: a NaN or infinite value is null.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .verify import (
     polygon_reports,
     reports_to_csv,
     reports_to_json,
+    strict_json,
     summarize,
     table1_reports,
 )
@@ -156,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=1))
+    print(strict_json(obj))
 
 
 def _cmd_regular(args) -> int:

@@ -147,7 +147,7 @@ def _full_residual(params: np.ndarray, n: int, lon0: float, w: float) -> np.ndar
 
 
 @lru_cache(maxsize=32)
-def _eye(p: int, scale: float = 1.0) -> np.ndarray:
+def _eye(p: int, scale: float) -> np.ndarray:
     """scale * np.eye(p), read-only."""
     E = scale * np.eye(p)
     E.flags.writeable = False
@@ -169,11 +169,16 @@ def _residual_and_jacobian(fun, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _damped_step(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
-    # Least-squares solve of the Levenberg system [J; sqrt(mu) I] d = [-r; 0].
-    p = J.shape[1]
-    A = np.concatenate([J, math.sqrt(mu) * _eye(p)])
-    b = np.concatenate([-r, np.zeros(p)])
-    return np.linalg.lstsq(A, b, rcond=None)[0]
+    """The Levenberg step -J^T (J J^T + mu I)^-1 r from an (n + 2)-row solve.
+
+    It is the least-squares solution of [J; sqrt(mu) I] d = [-r; 0].  J is
+    copied to C order: a product with a transposed view rounds differently,
+    and the step must depend on J's values only.
+    """
+    J = np.ascontiguousarray(J)
+    G = J @ J.T
+    G.flat[::G.shape[0] + 1] += mu
+    return J.T @ np.linalg.solve(G, -r)
 
 
 def sample_reduced(cfg: SamplerConfig) -> SampleResult:
@@ -181,8 +186,10 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
 
     Residuals are the n signed vertex-to-opposite-side heights minus the
     target thickness, plus two gauge terms pinning the centroid over the
-    pole; vertex 0 keeps its initial longitude.  The iteration stops once
-    the distance residuals drop to max-norm <= _RESIDUAL_TOL.  Failures are
+    pole; vertex 0 keeps its initial longitude.  Each trial takes the step
+    of _damped_step, whose damping falls tenfold after an accepted trial and
+    rises tenfold after a rejected one.  The iteration stops once the
+    distance residuals drop to max-norm <= _RESIDUAL_TOL.  Failures are
     reported in-band: converged=False plus a failure_reason, never an
     exception.
     """

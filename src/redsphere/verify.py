@@ -363,8 +363,22 @@ def summarize(reports: Iterable[VerificationReport]) -> dict[str, dict]:
     return out
 
 
+def _finite_or_none(obj):
+    """obj with every non-finite float, inside dicts and lists too, as None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def strict_json(obj) -> str:
+    """json.dumps(obj, indent=1), with NaN and infinities, not JSON, as null."""
+    return json.dumps(_finite_or_none(obj), indent=1, allow_nan=False)
+
+
 def reports_to_json(reports: Sequence[VerificationReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=1)
+    return strict_json([r.to_dict() for r in reports])
 
 
 def reports_to_csv(reports: Sequence[VerificationReport]) -> str:

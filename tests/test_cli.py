@@ -10,6 +10,15 @@ from redsphere.polygon import build_regular, save_polygon
 from conftest import pulled_regular, side_end_triangle
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_loads(text):
+    """json.loads that rejects the NaN and Infinity tokens."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -101,7 +110,17 @@ class TestMetrics:
         code, out, err = run(capsys, "metrics", "--in", str(path))
         assert code == 0 and not err
         payload = json.loads(out)
-        assert payload["is_reduced"] is False and payload["max_residual"] == math.inf
+        assert payload["is_reduced"] is False and payload["max_residual"] is None
+
+    def test_even_gon_prints_strict_json(self, capsys, tmp_path):
+        # A four-gon's max_residual is NaN, which prints as null.
+        path = tmp_path / "square.json"
+        s = math.sqrt(0.5)
+        path.write_text(json.dumps({"vertices": [[s, 0, s], [0, s, s], [-s, 0, s], [0, -s, s]]}))
+        code, out, err = run(capsys, "metrics", "--in", str(path))
+        assert code == 0 and not err
+        payload = strict_loads(out)
+        assert payload["is_reduced"] is False and payload["max_residual"] is None
 
 
 class TestVerifyFailures:
@@ -142,7 +161,8 @@ class TestVerifyFailures:
         assert payload["is_reduced"] is True
         claims = {c["claim_id"]: c for c in payload["claims"]}
         assert claims["perimeter-witness-identity"]["passed"] is False
-        assert math.isnan(claims["perimeter-witness-identity"]["bound"])
+        assert claims["perimeter-witness-identity"]["bound"] is None
+        strict_loads(out)
 
     def test_unmeasurable_polygon_fails_its_check(self, capsys, tmp_path):
         # Under a loose tol this triangle passes, but reduced_check cannot

@@ -41,6 +41,15 @@ def reference_residual_and_jacobian(fun, params):
     return fun(params), reference_fd_jacobian(fun, params)
 
 
+# The stacked least-squares Levenberg step the sampler took before its dual
+# form, kept as the oracle of sampler._damped_step.
+def reference_damped_step(J, r, mu):
+    p = J.shape[1]
+    A = np.concatenate([J, math.sqrt(mu) * np.eye(p)])
+    b = np.concatenate([-r, np.zeros(p)])
+    return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
 def _nan_equal(a, b) -> bool:
     """a == b, with NaN equal to NaN, through tuples."""
     if isinstance(a, tuple):
@@ -192,6 +201,19 @@ class TestDeterminism:
 
 
 class TestBatchQuality:
+    # Converged solves per session-grid cell, the same for the dual and the
+    # least-squares Levenberg step; a faster solver may not converge less.
+    CONVERGED_FLOOR = {
+        (5, math.pi / 6): 240, (5, math.pi / 4): 240, (5, math.pi / 3): 240,
+        (7, math.pi / 6): 223, (7, math.pi / 4): 230, (7, math.pi / 3): 214,
+    }
+
+    def test_session_grid_convergence_floor(self, sample_grid):
+        got = {cell: len(sample_grid.converged(*cell)) for cell in sample_grid.cells}
+        assert got.keys() == self.CONVERGED_FLOOR.keys()
+        for cell, floor in self.CONVERGED_FLOOR.items():
+            assert got[cell] >= floor, cell
+
     def test_most_samples_converge_and_verify(self):
         batch = sample_batch(SamplerConfig(n=5, thickness=QUARTER_PI, seed=100), 25)
         converged = [s for s in batch if s.converged]
@@ -276,3 +298,51 @@ class TestStackedJacobian:
                     assert calls["heights"] == res.iterations + 1
                     checked += 1
         assert checked > 0
+
+
+def _grid_step_inputs(sample_grid, monkeypatch, per_cell=3):
+    """Each distinct (J, r) the first solves of every grid cell stepped from."""
+    seen = []
+
+    def recording(J, r, mu, step=sampler._damped_step):
+        if not seen or seen[-1][0] is not J:
+            seen.append((J, r))
+        return step(J, r, mu)
+
+    monkeypatch.setattr(sampler, "_damped_step", recording)
+    for batch in sample_grid.cells.values():
+        for got in batch[:per_cell]:
+            sample_reduced(got.config)
+    monkeypatch.undo()
+    return seen
+
+
+class TestDampedStep:
+    MUS = (sampler._MU_FLOOR, sampler._DAMPING, sampler._MU_CEIL)
+
+    def test_matches_stacked_least_squares(self, sample_grid, monkeypatch):
+        inputs = _grid_step_inputs(sample_grid, monkeypatch)
+        assert len(inputs) > 50
+        for J, r in inputs:
+            for mu in self.MUS:
+                got = sampler._damped_step(J, r, mu)
+                want = reference_damped_step(J, r, mu)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
+
+    def test_depends_on_values_not_layout(self, sample_grid, monkeypatch):
+        # The solver's J is a transposed, F-ordered view; the oracle
+        # Jacobian of TestStackedJacobian is C-ordered.
+        for J, r in _grid_step_inputs(sample_grid, monkeypatch, per_cell=1):
+            C, F = np.ascontiguousarray(J), np.asfortranarray(J)
+            assert C.flags.c_contiguous and F.flags.f_contiguous
+            for mu in self.MUS:
+                assert np.array_equal(sampler._damped_step(C, r, mu),
+                                      sampler._damped_step(F, r, mu))
+
+    def test_rank_deficient_jacobian_at_floor(self, sample_grid, monkeypatch):
+        J, r = _grid_step_inputs(sample_grid, monkeypatch, per_cell=1)[0]
+        J = J.copy()
+        J[1] = J[0]
+        step = sampler._damped_step(J, r, sampler._MU_FLOOR)
+        assert step.shape == (J.shape[1],) and np.all(np.isfinite(step))

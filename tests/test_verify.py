@@ -193,6 +193,19 @@ class TestSerialization:
             assert sorted(row) == ["bound", "claim_id", "inputs", "measured",
                                    "passed", "residual", "tolerance"]
 
+    def test_json_writes_non_finite_values_as_null(self, crooked_sample, rejected_sample):
+        # A rejected sample's row has an infinite tolerance.
+        reports = full_suite([crooked_sample, rejected_sample], include_formula_checks=False)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        decoded = json.loads(reports_to_json(reports), parse_constant=reject)
+        rejected = [row for row in decoded if row["claim_id"] == "sample-rejected"]
+        assert len(rejected) == 1 and rejected[0]["tolerance"] is None
+        assert all(row["tolerance"] is not None for row in decoded if row is not rejected[0])
+        assert "inf" in reports_to_csv(reports)
+
     def test_csv_header_and_width(self, crooked_sample):
         reports = full_suite([crooked_sample], include_formula_checks=False)
         lines = reports_to_csv(reports).splitlines()
