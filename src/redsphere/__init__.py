@@ -45,7 +45,6 @@ from .verify import (
     LAMBDA_GRID,
     OMEGA_GRID,
     TABLE1_REFERENCE,
-    Table1Row,
     VerificationReport,
     check_bound_gap,
     check_regular_monotonicity,
@@ -54,7 +53,6 @@ from .verify import (
     polygon_reports,
     reports_to_csv,
     reports_to_json,
-    reproduce_table1,
     summarize,
     table1_reports,
 )
@@ -78,9 +76,8 @@ __all__ = [
     # sampling
     "Splitmix64", "SamplerConfig", "SampleResult", "sample_reduced", "sample_batch",
     # verification
-    "VerificationReport", "Table1Row", "OMEGA_GRID", "LAMBDA_GRID",
-    "TABLE1_REFERENCE", "check_regular_monotonicity", "check_bound_gap",
-    "check_scalar_lemmas", "reproduce_table1", "table1_reports",
-    "polygon_reports", "full_suite", "summarize", "reports_to_json",
-    "reports_to_csv",
+    "VerificationReport", "OMEGA_GRID", "LAMBDA_GRID", "TABLE1_REFERENCE",
+    "check_regular_monotonicity", "check_bound_gap", "check_scalar_lemmas",
+    "table1_reports", "polygon_reports", "full_suite", "summarize",
+    "reports_to_json", "reports_to_csv",
 ]

@@ -43,11 +43,9 @@ def _clamp(t: float) -> float:
     return max(-1.0, min(1.0, t))
 
 
-def _check_thickness(thickness: float, closed_right: bool = False) -> None:
-    hi_ok = thickness <= HALF_PI if closed_right else thickness < HALF_PI
-    if not (0.0 < thickness and hi_ok):
-        top = "pi/2]" if closed_right else "pi/2)"
-        raise DomainError(f"thickness={thickness!r} outside (0, {top}")
+def _check_thickness(thickness: float) -> None:
+    if not 0.0 < thickness < HALF_PI:
+        raise DomainError(f"thickness={thickness!r} outside (0, pi/2)")
 
 
 def x_limit(lam: float) -> float:
@@ -126,8 +124,6 @@ class RegularMetrics:
     y: float
 
     def __post_init__(self) -> None:
-        if abs(self.perimeter - self.n * self.side) > 1e-12:
-            raise DomainError("perimeter inconsistent with side count")
         if abs(self.inradius + self.circumradius - self.thickness) > 1e-10:
             raise DomainError("inradius + circumradius must equal the thickness")
 
@@ -187,5 +183,6 @@ def diameter_bound_coarse(thickness: float) -> float:
     Defined on (0, pi/2]; equals pi/2 at thickness pi/2 and stays strictly
     above diameter_bound everywhere below.
     """
-    _check_thickness(thickness, closed_right=True)
+    if not 0.0 < thickness <= HALF_PI:
+        raise DomainError(f"thickness={thickness!r} outside (0, pi/2]")
     return math.acos(_clamp(math.cos(thickness) * math.sqrt(1.0 - 0.5 * math.sqrt(2.0) * math.sin(thickness))))

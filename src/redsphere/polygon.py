@@ -517,26 +517,24 @@ def build_regular(n: int, thickness: float) -> SphericalPolygon:
 # Polygon JSON documents.
 
 
-def polygon_to_doc(
-    polygon: SphericalPolygon,
-    thickness_hint: Optional[float] = None,
-    label: Optional[str] = None,
-) -> dict:
-    """Plain-dict form: {"vertices": [[x, y, z], ...], ...} in full precision."""
+def polygon_to_doc(polygon: SphericalPolygon, thickness_hint: Optional[float] = None) -> dict:
+    """Plain-dict form {"vertices": [[x, y, z], ...], ...} in full precision;
+    a NaN or infinite thickness_hint, not strict JSON, raises DomainError."""
     doc: dict = {"vertices": polygon._array.tolist()}
     if thickness_hint is not None:
+        if not math.isfinite(thickness_hint):
+            raise DomainError(f"thickness_hint={thickness_hint!r} must be finite")
         doc["thickness_hint"] = thickness_hint
-    if label is not None:
-        doc["label"] = label
     return doc
 
 
 def polygon_from_doc(doc: dict) -> SphericalPolygon:
     """Build a polygon from its document form.
 
-    Vertices are renormalized; the load fails on a NaN or infinite
-    component, when any norm strays from 1 by more than 1e-6, or on
-    structural junk.  Convexity violations propagate as NotConvex.
+    Vertices are renormalized; the load fails on a component that is not a
+    JSON number (a string or a boolean, say) or is NaN or infinite, when any
+    norm strays from 1 by more than 1e-6, or on structural junk.  Other keys
+    are ignored.  Convexity violations propagate as NotConvex.
     """
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise PolygonDocumentError("document must be an object with a 'vertices' key")
@@ -547,10 +545,12 @@ def polygon_from_doc(doc: dict) -> SphericalPolygon:
     for idx, entry in enumerate(raw):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise PolygonDocumentError(f"vertex {idx} is not an [x, y, z] triple")
+        if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in entry):
+            raise PolygonDocumentError(f"vertex {idx} has a non-numeric component")
         try:
             vec = [float(c) for c in entry]
-        except (TypeError, ValueError) as exc:
-            raise PolygonDocumentError(f"vertex {idx} has a non-numeric component") from exc
+        except OverflowError as exc:  # an integer beyond the float range
+            raise PolygonDocumentError(f"vertex {idx} has a NaN or infinite component") from exc
         if not all(map(math.isfinite, vec)):
             raise PolygonDocumentError(f"vertex {idx} has a NaN or infinite component")
         norm = math.sqrt(sum(c * c for c in vec))
@@ -570,13 +570,9 @@ def load_polygon(path) -> tuple[SphericalPolygon, dict]:
     return polygon_from_doc(doc), doc
 
 
-def save_polygon(
-    path,
-    polygon: SphericalPolygon,
-    thickness_hint: Optional[float] = None,
-    label: Optional[str] = None,
-) -> None:
-    doc = polygon_to_doc(polygon, thickness_hint=thickness_hint, label=label)
+def save_polygon(path, polygon: SphericalPolygon, thickness_hint: Optional[float] = None) -> None:
+    """Write polygon_to_doc's document as strict JSON."""
+    doc = polygon_to_doc(polygon, thickness_hint=thickness_hint)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(doc, fh, indent=1, allow_nan=False)
         fh.write("\n")

@@ -1,9 +1,9 @@
 """Numeric verification of the extremal claims about reduced polygons.
 
-Each check returns a VerificationReport; full_suite strings the formula
-checks and the per-sample checks together.  The residual convention is
-`measured - bound` throughout, and a claim is flagged as an equality case
-when |measured - bound| <= 1e-8.
+Each check returns a VerificationReport, written out as the seven columns
+of _COLUMNS; full_suite strings the formula checks and the per-sample checks
+together.  The residual is `measured - bound` throughout, and a claim is
+flagged as an equality case when |measured - bound| <= 1e-8.
 
 Claim identifiers (stable strings):
     table1                       covering radius vs six-decimal reference
@@ -62,14 +62,12 @@ from .sampler import SampleResult
 
 __all__ = [
     "VerificationReport",
-    "Table1Row",
     "OMEGA_GRID",
     "LAMBDA_GRID",
     "TABLE1_REFERENCE",
     "check_regular_monotonicity",
     "check_bound_gap",
     "check_scalar_lemmas",
-    "reproduce_table1",
     "table1_reports",
     "polygon_reports",
     "full_suite",
@@ -98,6 +96,19 @@ EQUALITY_TOL = 1e-8
 REGULAR_PHI_SPREAD = 1e-6
 
 
+# The seven columns of a report row, in output order (JSON keys, CSV header).
+_COLUMNS = ("claim_id", "inputs", "measured", "bound", "residual", "passed", "tolerance")
+
+# passed per relation; NaN compares false, so a NaN residual fails them all.
+_RELATIONS = {
+    "ge": lambda residual, tol: residual >= -tol,
+    "le": lambda residual, tol: residual <= tol,
+    "eq": lambda residual, tol: abs(residual) <= tol,
+    "gt": lambda residual, tol: residual > tol,
+    "lt": lambda residual, tol: residual < -tol,
+}
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     claim_id: str
@@ -107,49 +118,18 @@ class VerificationReport:
     residual: float
     passed: bool
     tolerance: float
-    relation: str  # one of ge, le, eq, gt, lt
     equality: bool
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "inputs": self.inputs,
-            "measured": self.measured,
-            "bound": self.bound,
-            "residual": self.residual,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
+        return {name: getattr(self, name) for name in _COLUMNS}
 
 
 def _report(claim_id: str, inputs: str, measured: float, bound: float,
             tolerance: float, relation: str) -> VerificationReport:
     residual = measured - bound
-    if relation == "ge":
-        passed = residual >= -tolerance
-    elif relation == "le":
-        passed = residual <= tolerance
-    elif relation == "eq":
-        passed = abs(residual) <= tolerance
-    elif relation == "gt":
-        passed = residual > tolerance
-    elif relation == "lt":
-        passed = residual < -tolerance
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-    if math.isnan(residual):
-        passed = False
-    return VerificationReport(
-        claim_id=claim_id,
-        inputs=inputs,
-        measured=measured,
-        bound=bound,
-        residual=residual,
-        passed=passed,
-        tolerance=tolerance,
-        relation=relation,
-        equality=abs(residual) <= EQUALITY_TOL,
-    )
+    return VerificationReport(claim_id, inputs, measured, bound, residual,
+                              _RELATIONS[relation](residual, tolerance), tolerance,
+                              abs(residual) <= EQUALITY_TOL)
 
 
 def _sample_tag(sample: SampleResult) -> str:
@@ -217,21 +197,11 @@ def check_scalar_lemmas() -> list[VerificationReport]:
 # Reference covering-radius table.
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    omega: float
-    radius: float
-
-
-def reproduce_table1() -> list[Table1Row]:
-    return [Table1Row(omega=w, radius=covering_radius_bound(w)) for w in OMEGA_GRID]
-
-
 def table1_reports() -> list[VerificationReport]:
     return [
-        _report("table1", f"thickness={row.omega:.9g}", row.radius,
-                TABLE1_REFERENCE[row.omega], TOL_TABLE, "eq")
-        for row in reproduce_table1()
+        _report("table1", f"thickness={w:.9g}", covering_radius_bound(w),
+                TABLE1_REFERENCE[w], TOL_TABLE, "eq")
+        for w in OMEGA_GRID
     ]
 
 
@@ -384,9 +354,8 @@ def reports_to_json(reports: Sequence[VerificationReport]) -> str:
 def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["claim_id", "inputs", "measured", "bound",
-                     "residual", "passed", "tolerance"])
+    writer.writerow(_COLUMNS)
     for r in reports:
-        writer.writerow([r.claim_id, r.inputs, repr(r.measured), repr(r.bound),
-                         repr(r.residual), r.passed, repr(r.tolerance)])
+        writer.writerow([repr(v) if isinstance(v, float) else v
+                         for v in r.to_dict().values()])
     return buf.getvalue()

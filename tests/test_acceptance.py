@@ -29,8 +29,8 @@ from redsphere import (
     reduced_check,
     regular_metrics,
     regular_triangle_half_angle,
-    reproduce_table1,
     sample_reduced,
+    table1_reports,
 )
 from redsphere.sphere_core import _angles
 
@@ -38,10 +38,12 @@ NS_CLOSED_FORM = (3, 5, 7, 9, 21)
 
 
 def test_criterion_01_covering_radius_table():
-    rows = reproduce_table1()
-    assert [row.omega for row in rows] == list(OMEGA_GRID)
-    for row in rows:
-        assert row.radius == pytest.approx(TABLE1_REFERENCE[row.omega], abs=1e-5)
+    reports = table1_reports()
+    assert len(reports) == len(OMEGA_GRID)
+    for rep, omega in zip(reports, OMEGA_GRID):
+        assert rep.measured == covering_radius_bound(omega)
+        assert rep.measured == pytest.approx(TABLE1_REFERENCE[omega], abs=1e-5)
+        assert rep.passed
 
 
 def test_criterion_02_regular_construction_closes_the_loop():

@@ -847,12 +847,23 @@ def _assert_same_cap(got, want):
 class TestPolygonDocuments:
     def test_round_trip(self, tmp_path, pentagon):
         path = tmp_path / "p.json"
-        save_polygon(path, pentagon, thickness_hint=QUARTER_PI, label="pentagon")
+        save_polygon(path, pentagon, thickness_hint=QUARTER_PI)
         loaded, doc = load_polygon(path)
+        assert sorted(doc) == ["thickness_hint", "vertices"]
         assert doc["thickness_hint"] == QUARTER_PI
-        assert doc["label"] == "pentagon"
         for got, want in zip(_points(loaded), _points(pentagon)):
             assert distance(got, want) < 1e-15
+
+    def test_unknown_keys_ignored(self, pentagon):
+        doc = dict(polygon_to_doc(pentagon), label="pentagon", note=[1, 2])
+        assert polygon_from_doc(doc) == pentagon
+
+    @pytest.mark.parametrize("hint", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hint_rejected_before_writing(self, tmp_path, pentagon, hint):
+        path = tmp_path / "p.json"
+        with pytest.raises(DomainError, match="thickness_hint"):
+            save_polygon(path, pentagon, thickness_hint=hint)
+        assert not path.exists()
 
     def test_doc_round_trip_in_memory(self, pentagon):
         again = polygon_from_doc(polygon_to_doc(pentagon))
@@ -880,12 +891,24 @@ class TestPolygonDocuments:
         want = np.array([SpherePoint(*row).vec for row in doc["vertices"]])
         assert polygon_from_doc(doc)._array.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10 ** 400, id="huge-int")])
     def test_non_finite_component_rejected(self, pentagon, bad):
-        # abs(nan - 1) > 1e-6 is false, so a NaN passed the norm check.
+        # abs(nan - 1) > 1e-6 is false, so a NaN passed the norm check; a JSON
+        # integer beyond the float range made float() raise OverflowError.
         doc = polygon_to_doc(pentagon)
         doc["vertices"][2][1] = bad
         with pytest.raises(PolygonDocumentError, match="vertex 2 has a NaN or infinite"):
+            polygon_from_doc(doc)
+
+    @pytest.mark.parametrize("idx,row", [(0, ["0.6", "0", "0.8"]), (1, [True, False, False])],
+                             ids=["strings", "booleans"])
+    def test_non_number_component_rejected(self, idx, row):
+        # float() takes both, and the triangle [0.6, 0, 0.8], [1, 0, 0], [0, 1, 0]
+        # would build, but neither is a JSON number.
+        doc = {"vertices": [[0.6, 0, 0.8], [1, 0, 0], [0, 1, 0]]}
+        doc["vertices"][idx] = row
+        with pytest.raises(PolygonDocumentError, match=f"vertex {idx} has a non-numeric"):
             polygon_from_doc(doc)
 
     def test_clockwise_document_rejected(self, pentagon):

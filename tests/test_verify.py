@@ -14,12 +14,12 @@ from redsphere import (
     check_bound_gap,
     check_regular_monotonicity,
     check_scalar_lemmas,
+    covering_radius_bound,
     full_suite,
     polygon_reports,
     reduced_check,
     reports_to_csv,
     reports_to_json,
-    reproduce_table1,
     sample_reduced,
     summarize,
     table1_reports,
@@ -27,6 +27,7 @@ from redsphere import (
     OMEGA_GRID,
     TABLE1_REFERENCE,
 )
+from redsphere.verify import EQUALITY_TOL, _report
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -62,12 +63,44 @@ def _corrupted_sample():
                         failure_reason=None, residual_history=(0.0,))
 
 
+# Expected `passed` per relation for residual = k * tolerance, k as keyed.
+_RELATION_CASES = {
+    "ge": {0.0: True, 0.5: True, 1.0: True, -1.0: True, 2.0: True, -2.0: False},
+    "le": {0.0: True, 0.5: True, 1.0: True, -1.0: True, 2.0: False, -2.0: True},
+    "eq": {0.0: True, 0.5: True, 1.0: True, -1.0: True, 2.0: False, -2.0: False},
+    "gt": {0.0: False, 0.5: False, 1.0: False, -1.0: False, 2.0: True, -2.0: False},
+    "lt": {0.0: False, 0.5: False, 1.0: False, -1.0: False, 2.0: False, -2.0: True},
+}
+
+
+class TestRelations:
+    @pytest.mark.parametrize("tolerance", [EQUALITY_TOL, 0.25])
+    @pytest.mark.parametrize("relation,k,passed", [
+        (relation, k, passed)
+        for relation, cases in _RELATION_CASES.items() for k, passed in cases.items()
+    ])
+    def test_residual_against_tolerance(self, relation, k, passed, tolerance):
+        residual = k * tolerance
+        rep = _report("claim", "", residual, 0.0, tolerance, relation)
+        assert rep.residual == residual
+        assert rep.passed is passed
+        assert rep.equality is (abs(residual) <= EQUALITY_TOL)
+
+    @pytest.mark.parametrize("relation", sorted(_RELATION_CASES))
+    def test_nan_residual_fails(self, relation):
+        rep = _report("claim", "", math.nan, 0.0, 0.25, relation)
+        assert rep.passed is False
+        assert rep.equality is False
+
+
 class TestTableReproduction:
     def test_four_rows_at_reference_values(self):
-        rows = reproduce_table1()
-        assert [row.omega for row in rows] == list(OMEGA_GRID)
-        for row in rows:
-            assert row.radius == pytest.approx(TABLE1_REFERENCE[row.omega], abs=1e-5)
+        reports = table1_reports()
+        assert [rep.inputs for rep in reports] == [f"thickness={w:.9g}" for w in OMEGA_GRID]
+        for rep, omega in zip(reports, OMEGA_GRID):
+            assert rep.measured == covering_radius_bound(omega)
+            assert rep.bound == TABLE1_REFERENCE[omega]
+            assert rep.measured == pytest.approx(rep.bound, abs=1e-5)
 
     def test_reports_pass(self):
         for rep in table1_reports():
