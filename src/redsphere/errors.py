@@ -5,6 +5,9 @@ failures in one clause.  DomainError doubles as a ValueError because it
 signals an argument outside a function's mathematical domain.
 """
 
+__all__ = ["RedsphereError", "DomainError", "DegeneratePoint", "NotConvex", "NotInHemisphere",
+           "NoEnclosingCap", "PolygonDocumentError"]
+
 
 class RedsphereError(Exception):
     """Base class for all errors raised by this package."""

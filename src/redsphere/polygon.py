@@ -42,8 +42,6 @@ __all__ = [
     "Cap",
     "build_regular",
     "reduced_check",
-    "edge_poles",
-    "opposite_side_heights",
     "polygon_to_doc",
     "polygon_from_doc",
     "load_polygon",
@@ -70,16 +68,11 @@ def _ring_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def edge_poles(V: np.ndarray) -> np.ndarray:
-    """Unit poles of the edge great circles v_i -> v_{i+1} (rows)."""
-    P = _cross_rows(V, V[_ring_indices(len(V))[0]])
-    return P / _norm_rows(P)[:, None]
-
-
 def _opposite_poles(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices j, k of the side opposite each vertex and its unit pole v_j x v_k.
 
     The vertex axis of V is -2, so a (..., n, 3) stack gives (..., n, 3) poles.
+    For every n >= 3, even too, the sides (v_j, v_k) are the n edges, once each.
     """
     _, j, k = _ring_indices(V.shape[-2])
     P = _cross_rows(V[..., j, :], V[..., k, :])
@@ -183,9 +176,10 @@ class SphericalPolygon:
         if touching.size:
             first = int(touching[0])
             raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
-        dots = V @ edge_poles(V).T  # [vertex j, edge i]
+        j, k, P = _opposite_poles(V)
+        dots = V @ P.T  # [vertex, side (v_j, v_k)]
         i = np.arange(n)
-        on_edge = (i[:, None] == i) | (i[:, None] == nxt)
+        on_edge = (i[:, None] == j) | (i[:, None] == k)
         if not np.all((dots > _SIGN_EPS) | on_edge):
             raise NotConvex(
                 "vertex on the wrong side of an edge circle "
@@ -216,13 +210,12 @@ class SphericalPolygon:
 
         For every edge, the farthest vertex height over the edge's great
         circle is the thickness of the tightest lune with that edge on its
-        boundary; the minimum over edges is taken.  That the minimal lune
-        is supported by an edge this way is validated against a random
-        lune oracle in the test-suite rather than assumed silently.
+        boundary; the minimum over edges, in any order, is taken.  That the
+        minimal lune is supported by an edge this way is validated against a
+        random lune oracle in the test-suite rather than assumed silently.
         """
         V = self._array
-        poles = edge_poles(V)
-        heights = np.arcsin(np.clip(V @ poles.T, -1.0, 1.0))
+        heights = np.arcsin(np.clip(V @ _opposite_poles(V)[2].T, -1.0, 1.0))
         return float(np.min(np.max(heights, axis=0)))
 
     def diameter(self, reduced_hint: bool = False) -> float:

@@ -59,6 +59,12 @@ class TestArgumentValidation:
         (("lemmas", "--lambdas", "inf"), "lambdas must be finite numbers > 0"),
         (("lemmas", "--lambdas", "0.5,-inf"), "lambdas must be finite numbers > 0"),
         (("lemmas", "--lambdas", "0"), "lambdas must be finite numbers > 0"),
+        (("regular", "--n", "x", "--thickness", "pi/4"), "n must be an integer"),
+        (("regular", "--n", "1", "--thickness", "pi/4"), "n must be >= 3"),
+        (("regular", "--n", "5", "--thickness", "pi"), "thickness must be in (0, pi/2)"),
+        (("regular", "--n", "5", "--thickness", "abc"), "cannot parse thickness"),
+        (("sample", "--n", "5", "--thickness", "pi/4", "--count", "x"), "expected an integer"),
+        (("lemmas", "--lambdas", "0.5,abc"), "cannot parse lambda list"),
     ])
     def test_bad_sampler_arguments_are_usage_errors(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -175,6 +181,26 @@ class TestVerifyFailures:
         payload = json.loads(out)
         assert payload["is_reduced"] is False and payload["all_passed"] is False
         assert "coincident or antipodal" in payload["reason"]
+
+    def test_past_circumcap_limit_fails_the_cap_claims_in_band(self, capsys, tmp_path):
+        # circumcap supports at most 99 vertices; the regular 101-gon is a
+        # valid file, so only the two claims that read the cap radius fail.
+        path = str(tmp_path / "big.json")
+        code, _, _ = run(capsys, "regular", "--n", "101", "--thickness", "pi/4", "--out", path)
+        assert code == 0
+        code, out, err = run(capsys, "metrics", "--in", path)
+        assert code == 0 and not err
+        payload = strict_loads(out)
+        assert payload["n"] == 101 and payload["is_reduced"] is True
+        assert payload["circumcap_radius"] is None
+        code, out, err = run(capsys, "verify", "--in", path)
+        assert code == 1 and not err
+        payload = strict_loads(out)
+        assert payload["is_reduced"] is True and payload["all_passed"] is False
+        failed = {c["claim_id"]: c for c in payload["claims"] if not c["passed"]}
+        assert sorted(failed) == ["circumradius-bound", "jung-relation"]
+        assert failed["circumradius-bound"]["measured"] is None
+        assert failed["jung-relation"]["bound"] is None
 
     def test_non_finite_vertex_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "nan.json"

@@ -138,6 +138,8 @@ class TestCrossingAngleInverse:
             crossing_angle_inv(0.0, 1.0)
         with pytest.raises(DomainError):
             crossing_angle_inv(0.5 * math.pi, 1.0)
+        with pytest.raises(DomainError, match="must be positive"):
+            crossing_angle_inv(0.5, 0.0)
 
 
 class TestArmFromAngle:

@@ -2,7 +2,29 @@
 
 import redsphere
 
+# Every name the package exports, sorted; the submodules' __all__ lists
+# build redsphere.__all__, so this pins them too.
+PUBLIC_NAMES = [
+    "Cap", "DegeneratePoint", "DomainError", "LAMBDA_GRID", "NoEnclosingCap", "NotConvex",
+    "NotInHemisphere", "OMEGA_GRID", "PolygonDocumentError", "RedsphereError",
+    "ReducedWitness", "RegularMetrics", "SampleResult", "SamplerConfig", "SphericalPolygon",
+    "Splitmix64", "TABLE1_REFERENCE", "VerificationReport", "__version__",
+    "arm_from_angle", "arm_length", "build_regular", "check_bound_gap",
+    "check_regular_monotonicity", "check_scalar_lemmas", "covering_radius_bound",
+    "crossing_angle", "crossing_angle_inv", "diameter_bound", "diameter_bound_coarse",
+    "full_suite", "load_polygon", "polygon_from_doc", "polygon_reports", "polygon_to_doc",
+    "reduced_check", "regular_metrics", "regular_triangle_half_angle", "reports_to_csv",
+    "reports_to_json", "sample_batch", "sample_reduced", "save_polygon", "summarize",
+    "table1_reports", "x_limit",
+]
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in redsphere.__all__ if not hasattr(redsphere, name)]
     assert not missing
+
+
+def test_exported_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 46
+    assert len(set(redsphere.__all__)) == len(redsphere.__all__)
+    assert sorted(redsphere.__all__) == PUBLIC_NAMES

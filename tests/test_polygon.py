@@ -346,11 +346,14 @@ class TestFromArray:
         V[2, 0] = np.nextafter(V[2, 0], 1.0)
         assert SphericalPolygon(V) != pentagon
 
-    @pytest.mark.parametrize("case", ["degenerate", "few", "clockwise", "hemisphere"])
+    @pytest.mark.parametrize("case", ["degenerate", "few", "coincident", "clockwise",
+                                      "hemisphere"])
     def test_same_errors_as_the_object_path(self, case):
         V = build_regular(5, QUARTER_PI).as_array()
         if case == "degenerate":
             V[3] = [1e-13, 0.0, 0.0]
+        elif case == "coincident":
+            V[2] = V[1]
         elif case == "few":
             V = V[:2]
         elif case == "clockwise":
@@ -363,9 +366,11 @@ class TestFromArray:
                            -math.cos(t)]])
         got = _raised(SphericalPolygon, V)
         assert got == _raised(_reference_build, V)
-        want = {"degenerate": DegeneratePoint, "few": DomainError,
+        want = {"degenerate": DegeneratePoint, "few": DomainError, "coincident": NotConvex,
                 "clockwise": NotConvex, "hemisphere": NotInHemisphere}[case]
         assert issubclass(got[0], want)
+        if case == "coincident":
+            assert got[1] == "vertices 1 and 2 coincident or antipodal"
 
     @pytest.mark.parametrize("V", [
         [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
@@ -882,6 +887,8 @@ class TestPolygonDocuments:
             polygon_from_doc({"nope": []})
         with pytest.raises(PolygonDocumentError):
             polygon_from_doc({"vertices": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]})
+        with pytest.raises(PolygonDocumentError, match="at least 3 entries"):
+            polygon_from_doc({"vertices": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]})
 
     def test_rows_match_scalar_points(self, crooked_heptagon):
         # Rows off the unit sphere by up to 6e-8 are normalized as SpherePoint does.

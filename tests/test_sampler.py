@@ -9,9 +9,11 @@ import pytest
 from conftest import GRID_OMEGA
 
 from redsphere import (
+    NotConvex,
     SamplerConfig,
     Splitmix64,
     build_regular,
+    full_suite,
     reduced_check,
     regular_metrics,
     sample_batch,
@@ -161,6 +163,39 @@ class TestSampleReduced:
             res = sample_reduced(SamplerConfig(n=3, thickness=QUARTER_PI, seed=seed))
             assert res.converged
             assert _alignment_deviation(res.polygon.as_array(), reg) < 1e-6
+
+
+class TestFailureReasons:
+    """The solver's in-band failure reasons, forced on a seed that converges."""
+
+    CFG = SamplerConfig(n=7, thickness=QUARTER_PI, seed=3)
+
+    def test_damping_ceiling_stalls(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_MU_CEIL", 1e-4)
+        res = sample_reduced(self.CFG)
+        assert not res.converged and res.iterations == 1
+        assert res.failure_reason == "stalled: damping exhausted without improvement"
+        assert res.polygon is not None and res.witness is not None
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_MAX_ITERATIONS", 1)
+        res = sample_reduced(self.CFG)
+        assert not res.converged and res.iterations == 1
+        assert res.failure_reason == "max_iterations reached"
+        assert res.polygon is not None
+
+    def test_unbuildable_solution_is_degenerate(self, monkeypatch):
+        def not_convex(V):
+            raise NotConvex("forced")
+
+        monkeypatch.setattr(sampler, "SphericalPolygon", not_convex)
+        res = sample_reduced(self.CFG)
+        assert not res.converged
+        assert res.failure_reason == "degenerate geometry at the solution: forced"
+        assert res.polygon is None and res.witness is None
+        rows = full_suite([res], include_formula_checks=False)
+        assert [(r.claim_id, r.passed) for r in rows] == [("sample-rejected", True)]
+        assert rows[0].inputs.endswith("reason=degenerate geometry at the solution: forced")
 
 
 def _alignment_deviation(V, W):

@@ -1,4 +1,4 @@
-"""Claim reports: relations, equality flags, fault exclusion, serialization."""
+"""Claim reports: relations, fault exclusion, serialization."""
 
 import json
 import math
@@ -27,7 +27,7 @@ from redsphere import (
     OMEGA_GRID,
     TABLE1_REFERENCE,
 )
-from redsphere.verify import EQUALITY_TOL, _report
+from redsphere.verify import _report
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -74,7 +74,7 @@ _RELATION_CASES = {
 
 
 class TestRelations:
-    @pytest.mark.parametrize("tolerance", [EQUALITY_TOL, 0.25])
+    @pytest.mark.parametrize("tolerance", [1e-8, 0.25])
     @pytest.mark.parametrize("relation,k,passed", [
         (relation, k, passed)
         for relation, cases in _RELATION_CASES.items() for k, passed in cases.items()
@@ -84,13 +84,11 @@ class TestRelations:
         rep = _report("claim", "", residual, 0.0, tolerance, relation)
         assert rep.residual == residual
         assert rep.passed is passed
-        assert rep.equality is (abs(residual) <= EQUALITY_TOL)
 
     @pytest.mark.parametrize("relation", sorted(_RELATION_CASES))
     def test_nan_residual_fails(self, relation):
         rep = _report("claim", "", math.nan, 0.0, 0.25, relation)
         assert rep.passed is False
-        assert rep.equality is False
 
 
 class TestTableReproduction:
@@ -132,7 +130,7 @@ class TestPolygonReports:
         reports = polygon_reports(regular_sample.polygon, regular_sample.witness,
                                   QUARTER_PI, "regular pentagon")
         by_id = {r.claim_id: r for r in reports}
-        assert by_id["perimeter-min"].equality
+        assert abs(by_id["perimeter-min"].residual) <= 1e-8
         assert "crossing-angle-sum-regular" in by_id
         assert "crossing-angles-regular" in by_id
         assert "crossing-angle-sum-strict" not in by_id
@@ -143,9 +141,8 @@ class TestPolygonReports:
                                            perturbation_scale=0.0))
         reports = polygon_reports(res.polygon, res.witness, math.pi / 6, "triangle")
         by_id = {r.claim_id: r for r in reports}
-        assert by_id["diameter-bound"].equality
-        assert by_id["circumradius-bound"].equality
-        assert by_id["perimeter-min"].equality
+        for claim_id in ("diameter-bound", "circumradius-bound", "perimeter-min"):
+            assert abs(by_id[claim_id].residual) <= 1e-8
 
     def test_crooked_pentagon_strict_branch(self, crooked_sample):
         reports = polygon_reports(crooked_sample.polygon, crooked_sample.witness,
