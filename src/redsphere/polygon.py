@@ -28,13 +28,6 @@ from .errors import (
     NotInHemisphere,
     PolygonDocumentError,
 )
-from .sphere_core import (
-    ON_ARC_TOL,
-    SEPARATION_TOL,
-    _angles,
-    _cross_rows,
-    _norm_rows,
-)
 
 __all__ = [
     "SphericalPolygon",
@@ -53,8 +46,49 @@ __all__ = [
 EDGE_EPS = 1e-9
 # Default tolerance on the spread of vertex-to-opposite-side distances.
 REDUCED_TOL = 1e-7
-# Strictness margin for convexity / hemisphere sign tests.
-_SIGN_EPS = 1e-12
+# Unit-vector tolerance: the |dot| separation bound, sign-test margin and shortest row normalized.
+SEPARATION_TOL = 1e-12
+# Slack on d(a, p) + d(p, b) - d(a, b) when p counts as on the closed arc (a, b);
+# reduced_check turns it into a slack on the signed arc parameter.
+ON_ARC_TOL = 1e-9
+
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _cross_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (..., m, 3) arrays.
+
+    Bit for bit np.cross, at a third of its fixed cost per call, which
+    dominates on the few rows of a polygon.  The result is C-ordered like
+    np.cross's, since reductions over it round differently in F order.
+    """
+    return np.subtract(A[..., _NEXT] * B[..., _PREV], A[..., _PREV] * B[..., _NEXT], order="C")
+
+
+def _norm_rows(A: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of A.
+
+    The formula of np.linalg.norm(A, axis=-1), so bit for bit its result,
+    without its argument handling, which dominates on the few rows of a
+    polygon.
+    """
+    return np.sqrt(np.add.reduce(A * A, axis=-1))
+
+
+def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", A, B)
+
+
+def _angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Angles in [0, pi] between the nonzero rows of two (m, 3) arrays.
+
+    atan2(|a x b|, a . b) per row, at full precision for short arcs and small
+    angles, unlike acos: the geodesic distance of unit rows, or the angle at
+    a vertex between two tangent rows.  Each call has a fixed cost of some
+    microseconds, so callers stack every angle of one computation in one call.
+    """
+    return np.arctan2(_norm_rows(_cross_rows(A, B)), _dots(A, B))
 
 
 @lru_cache(maxsize=32)
@@ -105,13 +139,13 @@ def _index_combinations(n: int, k: int) -> np.ndarray:
 
 
 def _unit_rows(R: np.ndarray, anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of R at least _SIGN_EPS long, normalized, with their anchors.
+    """Rows of R at least SEPARATION_TOL long, normalized, with their anchors.
 
     The norm is the square root of a batched-matmul self dot, which rounds
     like the 1-D np.linalg.norm; np.linalg.norm(axis=1) does not.
     """
     norm = np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
-    keep = norm >= _SIGN_EPS
+    keep = norm >= SEPARATION_TOL
     return R[keep] / norm[keep, None], anchor[keep]
 
 
@@ -161,7 +195,7 @@ class SphericalPolygon:
         bad = np.flatnonzero(~np.isfinite(norm))
         if bad.size:
             raise DomainError(f"vertex {bad[0]} has a non-finite norm ({norm[bad[0]]})")
-        short = np.flatnonzero(norm < 1e-12)
+        short = np.flatnonzero(norm < SEPARATION_TOL)
         if short.size:
             raise DegeneratePoint(
                 f"vector too short to normalize (norm={float(norm[short[0]])!r})")
@@ -172,7 +206,7 @@ class SphericalPolygon:
         nxt = _ring_indices(n)[0]
         # Neighbour dots by matmul, which rounds like the 1-D dot product.
         nxt_dots = (V[:, None, :] @ V[nxt, :, None])[:, 0, 0]
-        touching = np.flatnonzero(np.abs(nxt_dots) >= 1.0 - _SIGN_EPS)
+        touching = np.flatnonzero(np.abs(nxt_dots) >= 1.0 - SEPARATION_TOL)
         if touching.size:
             first = int(touching[0])
             raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
@@ -180,14 +214,14 @@ class SphericalPolygon:
         dots = V @ P.T  # [vertex, side (v_j, v_k)]
         i = np.arange(n)
         on_edge = (i[:, None] == j) | (i[:, None] == k)
-        if not np.all((dots > _SIGN_EPS) | on_edge):
+        if not np.all((dots > SEPARATION_TOL) | on_edge):
             raise NotConvex(
                 "vertex on the wrong side of an edge circle "
                 "(polygon non-convex or ordered clockwise)"
             )
         centroid = np.add.reduce(V, axis=0) / n
         norm = float(np.linalg.norm(centroid))
-        if norm < _SIGN_EPS or not np.all(V @ (centroid / norm) > _SIGN_EPS):
+        if norm < SEPARATION_TOL or not np.all(V @ (centroid / norm) > SEPARATION_TOL):
             raise NotInHemisphere("no open hemisphere contains every vertex")
         V.flags.writeable = False
         self._array = V
@@ -241,7 +275,7 @@ class SphericalPolygon:
         caps, as array code over all candidate centres.  The candidates are
         every pair midpoint, in combinations order, then every triple's
         c = (v_i - v_j) x (v_j - v_k), in combinations order; pairs and
-        triples whose direction is shorter than _SIGN_EPS are skipped.  A
+        triples whose direction is shorter than SEPARATION_TOL are skipped.  A
         candidate counts when its own cap (radius to v_i) is at most pi/2 and
         covers every vertex; of those, the first with the least cover wins.
         The centre -c of a triple is not a candidate: c . v_i = det(v_i, v_j,
@@ -345,10 +379,6 @@ def _failed(polygon: SphericalPolygon, residual: float, reason: str) -> ReducedW
                           max_residual=residual, reason=reason)
 
 
-def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", A, B)
-
-
 def _degenerate(d: np.ndarray) -> bool:
     """Any unit-vector dot product that marks a coincident or antipodal pair."""
     return bool(np.any(np.abs(d) >= 1.0 - SEPARATION_TOL))
@@ -429,7 +459,7 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     Y = _cross_rows(np.concatenate([Q, Q]), np.concatenate([Q[k], V]))
     C, T = Y[:n], Y[n:]
     c_norm = _norm_rows(C)
-    crosses = c_norm >= 1e-12
+    crosses = c_norm >= SEPARATION_TOL
     O = C / np.where(crosses, c_norm, 1.0)[:, None]
     O[_dots(O, V) < 0.0] *= -1.0
 
@@ -558,7 +588,7 @@ def load_polygon(path) -> tuple[SphericalPolygon, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise PolygonDocumentError(f"cannot read polygon file {path}: {exc}") from exc
     return polygon_from_doc(doc), doc
 

@@ -32,7 +32,7 @@ from redsphere import (
     sample_reduced,
     table1_reports,
 )
-from redsphere.sphere_core import _angles
+from redsphere.polygon import _angles
 
 NS_CLOSED_FORM = (3, 5, 7, 9, 21)
 

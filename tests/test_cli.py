@@ -216,6 +216,16 @@ class TestVerifyFailures:
         assert code == 3
         assert err.strip()
 
+    @pytest.mark.parametrize("command", ["verify", "metrics"])
+    @pytest.mark.parametrize("content", [b"\xff", b'{"vertices": ' + b"[" * 100000],
+                             ids=["not-utf8", "nested-100000-deep"])
+    def test_unreadable_file_is_an_input_error(self, capsys, tmp_path, command, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, _, err = run(capsys, command, "--in", str(path))
+        assert code == 3
+        assert "cannot read polygon file" in err
+
 
 class TestTable1:
     def test_csv_shape_and_values(self, capsys):

@@ -547,13 +547,21 @@ class TestReducedCheck:
                                           check(P).foot_distances + check(P).far_angles)
 
     def test_vertex_at_the_pole_of_its_side_fails_in_band(self):
-        # v_0 is the pole of the equator through v_1 and v_2, so it has no foot.
-        P = SphericalPolygon([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        for check in (reduced_check, reference_reduced_check):
-            w = check(P, tol=1.0)
-            assert (w.is_reduced, w.reason, w.max_residual) == (
-                False, "point coincides with a circle pole", math.inf)
-            assert w.thickness == P.thickness() and w.feet.shape == (0, 3)
+        cases = [
+            # v_0 is the pole of the equator through v_1 and v_2, so it has no foot.
+            ([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+             "point coincides with a circle pole"),
+            # v_0 lies about 7e-9 above the equator through v_1 and v_2, so its
+            # foot is too close to v_0 for an angle at v_0 toward it.
+            ([[1.0, 1.0, 1e-8], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+             "ray endpoint coincident or antipodal with vertex"),
+        ]
+        for rows, reason in cases:
+            P = SphericalPolygon(rows)
+            for check in (reduced_check, reference_reduced_check):
+                w = check(P, tol=1.0)
+                assert (w.is_reduced, w.reason, w.max_residual) == (False, reason, math.inf)
+                assert w.thickness == P.thickness() and w.feet.shape == (0, 3)
 
     @pytest.mark.parametrize("beyond, crosses", [(3e-10, True), (7e-10, False)])
     def test_crossing_slack_at_spoke_end(self, beyond, crosses):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from redsphere import DegeneratePoint, RedsphereError
-from redsphere.sphere_core import ON_ARC_TOL, SEPARATION_TOL, _angles, _norm_rows
+from redsphere.polygon import ON_ARC_TOL, SEPARATION_TOL, _angles, _norm_rows
 
 
 # Points, great circles and arcs as objects.  No library code uses them;

@@ -173,6 +173,17 @@ class TestPolygonReports:
         jensen = {r.claim_id: r for r in reports}["perimeter-jensen"]
         assert not jensen.passed and math.isnan(jensen.measured)
 
+    def test_missing_crossing_fails_the_range_row_alone(self, crooked_sample):
+        witness = replace(crooked_sample.witness,
+                          crossing_angles=(math.nan,) + crooked_sample.witness.crossing_angles[1:])
+        reports = polygon_reports(crooked_sample.polygon, witness, QUARTER_PI, "bent")
+        ranges = [r for r in reports if r.claim_id == "crossing-angle-range"]
+        assert len(ranges) == 1
+        assert not ranges[0].passed and math.isnan(ranges[0].measured)
+        assert not [r.claim_id for r in reports if r.claim_id.startswith("crossing-angle-sum")
+                    or r.claim_id in ("crossing-angles-regular", "perimeter-witness-identity",
+                                      "perimeter-jensen")]
+
 
 class TestFullSuite:
     def test_rejected_samples_recorded_not_failed(self, crooked_sample, rejected_sample):
