@@ -105,24 +105,12 @@ def _ring_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _opposite_poles(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices j, k of the side opposite each vertex and its unit pole v_j x v_k.
 
-    The vertex axis of V is -2, so a (..., n, 3) stack gives (..., n, 3) poles.
     For every n >= 3, even too, the sides (v_j, v_k) are the n edges, once each.
     """
-    _, j, k = _ring_indices(V.shape[-2])
-    P = _cross_rows(V[..., j, :], V[..., k, :])
-    P /= _norm_rows(P)[..., None]
+    _, j, k = _ring_indices(len(V))
+    P = _cross_rows(V[j], V[k])
+    P /= _norm_rows(P)[:, None]
     return j, k, P
-
-
-def opposite_side_heights(V: np.ndarray) -> np.ndarray:
-    """Signed height of each vertex over its opposite side's great circle.
-
-    V is an (n, 3) array of unit rows in counterclockwise order, n odd, or a
-    (..., n, 3) stack of them; each polygon of a stack gets the heights it
-    gets alone, bit for bit.  Positive on the polygon's interior side.
-    """
-    _, _, P = _opposite_poles(V)
-    return np.arcsin(np.clip(np.einsum("...ij,...ij->...i", V, P), -1.0, 1.0))
 
 
 # Candidate centres that circumcap scores at once.

@@ -9,17 +9,21 @@ collapses to the regular triangle while n >= 5 yields genuinely
 non-regular reduced polygons; that dimension count is a working
 hypothesis probed by the test-suite, not a proven theorem of this code.
 
-Determinism: all randomness flows from splitmix64 (seeded, portable), the
-iteration is plain floating point, and re-running a configuration
-reproduces results bit for bit on the same platform.
+The Jacobian is analytic and is evaluated only at the point each
+iteration starts from; trials pay for their residual alone.
+
+Determinism: all randomness flows from splitmix64 (seeded, portable), and
+re-running a configuration reproduces results bit for bit under the same
+numpy SIMD and BLAS dispatch.  Across dispatch, vertex rows agree to within
+1e-12 (tests/test_dispatch.py).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,17 +33,12 @@ from .polygon import (
     REDUCED_TOL,
     ReducedWitness,
     SphericalPolygon,
-    opposite_side_heights,
     reduced_check,
 )
 
 __all__ = ["Splitmix64", "SamplerConfig", "SampleResult", "sample_reduced", "sample_batch"]
 
 _MASK64 = (1 << 64) - 1
-# Central finite-difference step for the Jacobian; the Jacobian is always
-# finite-difference here, so consistency checks against an analytic one
-# are vacuous for this implementation.
-_FD_STEP = 1e-7
 _MU_CEIL = 1e13
 _MU_FLOOR = 1e-14
 # Initial Levenberg-Marquardt damping.
@@ -84,6 +83,11 @@ class Splitmix64:
         return (2.0 * self.uniform() - 1.0) * scale
 
 
+def _is_int(x) -> bool:
+    """An int and not a bool, which would pass for 0 or 1 and print as True."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Target polygon family, seed and the size of the initial perturbation."""
@@ -94,11 +98,11 @@ class SamplerConfig:
     perturbation_scale: float = 0.05
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 3 and self.n % 2 == 1):
+        if not (_is_int(self.n) and self.n >= 3 and self.n % 2 == 1):
             raise ValueError(f"n={self.n!r} must be an odd integer >= 3")
         if not 0.0 < self.thickness < 0.5 * math.pi:
             raise ValueError(f"thickness={self.thickness!r} outside (0, pi/2)")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed={self.seed!r} must be a non-negative integer")
         if not 0.0 <= self.perturbation_scale < self.thickness / 4.0:
             raise ValueError("perturbation_scale must lie in [0, thickness/4)")
@@ -118,62 +122,141 @@ class SampleResult:
     residual_history: tuple[float, ...]
 
 
-def _embed(params: np.ndarray, n: int, lon0: float) -> np.ndarray:
-    """Unit vertices from packed (colat_0..colat_{n-1}, lon_1..lon_{n-1}) rows.
+class _Point(NamedTuple):
+    """A parameter point's residual and the intermediates its Jacobian reuses.
 
-    A (..., 2n - 1) stack of parameter rows gives a (..., n, 3) stack of
-    vertex arrays.
+    F is a raveled (3n, 3) array: the n vertices, their colatitude tangents,
+    then their longitude tangents; V is the (n, 3) view of the vertices.  p
+    are the unit poles of the sides opposite each vertex, c_norm the lengths
+    of the cross products v_j x v_k they normalize, and s = v_i . p, clipped
+    to [-1, 1], the sines of the heights.
     """
-    colat = params[..., :n]
-    lon = np.empty(colat.shape)
-    lon[..., 0] = lon0
-    lon[..., 1:] = params[..., n:]
-    s = np.sin(colat)
-    V = np.empty(colat.shape + (3,))
-    np.multiply(s, np.cos(lon), out=V[..., 0])
-    np.multiply(s, np.sin(lon), out=V[..., 1])
-    V[..., 2] = np.cos(colat)
-    return V
+
+    r: np.ndarray
+    F: np.ndarray
+    V: np.ndarray
+    p: np.ndarray
+    c_norm: np.ndarray
+    s: np.ndarray
 
 
-def _full_residual(params: np.ndarray, n: int, lon0: float, w: float) -> np.ndarray:
-    """Heights minus w, then the centroid's x and y, for each parameter row."""
-    V = _embed(params, n, lon0)
-    r = np.empty(params.shape[:-1] + (n + 2,))
-    r[..., :n] = opposite_side_heights(V) - w
-    # V.mean(axis=-2), whose sum and division these are, without its dispatch.
-    r[..., n:] = np.add.reduce(V, axis=-2)[..., :2] / n
-    return r
+def _cross_plan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat indices I with Y[0] * Y[1] - Y[2] * Y[3], Y = X.ravel()[I], the
+    rows a x b of an (m, 3) array X, as np.cross computes them."""
+    nxt, prv = np.array([1, 2, 0]), np.array([2, 0, 1])
+    a3, b3 = 3 * a[:, None], 3 * b[:, None]
+    return np.stack([a3 + nxt, b3 + prv, a3 + prv, b3 + nxt])
 
 
 @lru_cache(maxsize=32)
-def _eye(p: int, scale: float) -> np.ndarray:
-    """scale * np.eye(p), read-only."""
-    E = scale * np.eye(p)
-    E.flags.writeable = False
-    return E
+def _plan(n: int) -> dict[str, np.ndarray]:
+    """Index plans of _residual and _jacobian for n-gons (read-only).
 
-
-def _residual_and_jacobian(fun, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """fun at x and its central-difference Jacobian, from one stacked call.
-
-    fun gets the rows [x; x + E; x - E], E = _FD_STEP * I.  Row j of x + E
-    (x - E) is x with entry j moved by +_FD_STEP (-_FD_STEP), and fun works
-    row by row, so the residual is fun(x) and the columns equal those of
-    differencing one column at a time, bit for bit.
+    The trig table is [sin(angles), cos(angles), 1, -1, 0] over the angles
+    (colat_0..colat_{n-1}, lon_1..lon_{n-1}, lon_0); "FACTORS" picks, per
+    entry of F, the three table entries whose product it is.
     """
-    p = x.size
-    E = _eye(p, _FD_STEP)
-    R = fun(np.concatenate([x[None], x + E, x - E]))
-    return R[0], ((R[1:p + 1] - R[p + 1:]) / (2.0 * _FD_STEP)).T
+    i = np.arange(n)
+    j, k = (i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n
+    lon = np.where(i == 0, 2 * n - 1, n - 1 + i)
+    sin_t, sin_l, cos_t, cos_l = i, lon, 2 * n + i, 2 * n + lon
+    one, neg, zero = 4 * n, 4 * n + 1, 4 * n + 2
+    # Per block of F and coordinate, the three factors of each vertex:
+    # v = (sin t cos l, sin t sin l, cos t), dv/dt and dv/dl.
+    blocks = [
+        [(sin_t, cos_l, one), (sin_t, sin_l, one), (cos_t, one, one)],
+        [(cos_t, cos_l, one), (cos_t, sin_l, one), (neg, sin_t, one)],
+        [(neg, sin_t, sin_l), (sin_t, cos_l, one), (zero, one, one)],
+    ]
+    factors = np.array([[[np.broadcast_to(f, n) for f in xyz] for xyz in b] for b in blocks])
+    # [block, coordinate, factor, vertex] -> [factor, block, vertex, coordinate]
+    factors = factors.transpose(2, 0, 3, 1).reshape(3, -1)
+
+    # Parameter c moves vertex vertex[c] along row F_row[c] of F: the
+    # colatitude tangents, then the longitude tangents but vertex 0's.
+    vertex = np.concatenate([i, i[1:]])
+    F_row = np.concatenate([n + i, 2 * n + i[1:]])
+    # The 3n gradient rows of _jacobian stack p_i, v_k x u_i and u_i x v_j:
+    # gradient q of height row[q] at vertex m[q], which parameters cols move.
+    row, m = np.tile(i, 3), np.concatenate([i, j, k])
+    q, cols = np.nonzero(m[:, None] == vertex)
+    xyz = np.arange(3)
+    n_params = 2 * n - 1
+    plan = {
+        "FACTORS": factors,
+        "CROSS": _cross_plan(j, k),
+        # Rows of [V; u]: v_k x u_i, then u_i x v_j.
+        "GRAD_CROSS": _cross_plan(np.concatenate([k, n + i]),
+                                  np.concatenate([n + i, j])).reshape(4, -1),
+        "GRAD": 3 * q[:, None] + xyz,
+        "TANGENT": 3 * F_row[cols, None] + xyz,
+        "HEIGHT": row[q],
+        # The gauge rows: each tangent's x, then its y.
+        "GAUGE": np.concatenate([3 * F_row, 3 * F_row + 1]),
+        "DEST": np.concatenate([row[q] * n_params + cols,
+                                n * n_params + np.arange(2 * n_params)]),
+    }
+    for a in plan.values():
+        a.flags.writeable = False
+    return plan
+
+
+_UNITS = np.array([1.0, -1.0, 0.0])
+_UNITS.flags.writeable = False
+
+
+def _residual(params: np.ndarray, n: int, lon0: float, w: float) -> _Point:
+    """Heights minus w, then the centroid's x and y, at packed parameters
+    (colat_0..colat_{n-1}, lon_1..lon_{n-1}); vertex 0 has longitude lon0.
+
+    Each vertex is (sin t cos l, sin t sin l, cos t), and each height the
+    arcsine of v_i . (v_j x v_k)/|v_j x v_k| over the side (v_j, v_k)
+    opposite v_i.
+    """
+    plan = _plan(n)
+    angles = np.concatenate((params, (lon0,)))
+    trig = np.concatenate((np.sin(angles), np.cos(angles), _UNITS))
+    G = trig[plan["FACTORS"]]
+    F = G[0] * G[1] * G[2]
+    V = F[:3 * n].reshape(n, 3)
+    Y = F[plan["CROSS"]]
+    c = Y[0] * Y[1] - Y[2] * Y[3]
+    c_norm = np.sqrt(np.add.reduce(c * c, axis=1))
+    p = c / c_norm[:, None]
+    # np.clip to [-1, 1], without its dispatch.
+    s = np.minimum(np.maximum(np.einsum("ij,ij->i", V, p), -1.0), 1.0)
+    r = np.concatenate((np.arcsin(s) - w, np.add.reduce(V, axis=0)[:2] / n))
+    return _Point(r, F, V, p, c_norm, s)
+
+
+def _jacobian(point: _Point) -> np.ndarray:
+    """The Jacobian of _residual at point: (n + 2) rows, 2n - 1 columns.
+
+    With c = v_j x v_k, p = c/|c|, s_i = v_i . p and u = (v_i - s_i p)/|c|,
+    the gradient of s_i is p at v_i, v_k x u at v_j and u x v_j at v_k.
+    Each is dotted with the vertex's colatitude and longitude tangents and
+    scaled by the arcsine's 1/sqrt(1 - s^2); the gauge rows are the
+    tangents' x and y over n.
+    """
+    n = len(point.s)
+    plan = _plan(n)
+    u = (point.V - point.s[:, None] * point.p) / point.c_norm[:, None]
+    X = np.concatenate((point.F[:3 * n], u.ravel()))
+    Y = X[plan["GRAD_CROSS"]]
+    grad = np.concatenate((point.p.ravel(), Y[0] * Y[1] - Y[2] * Y[3]))
+    g = 1.0 / np.sqrt(1.0 - point.s * point.s)
+    heights = np.add.reduce(grad[plan["GRAD"]] * point.F[plan["TANGENT"]], axis=1)
+    J = np.zeros((n + 2) * (2 * n - 1))
+    J[plan["DEST"]] = np.concatenate((heights * g[plan["HEIGHT"]], point.F[plan["GAUGE"]] / n))
+    return J.reshape(n + 2, 2 * n - 1)
 
 
 def _damped_step(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
     """The Levenberg step -J^T (J J^T + mu I)^-1 r from an (n + 2)-row solve.
 
-    It is the least-squares solution of [J; sqrt(mu) I] d = [-r; 0].  J is
-    copied to C order: a product with a transposed view rounds differently,
-    and the step must depend on J's values only.
+    It is the least-squares solution of [J; sqrt(mu) I] d = [-r; 0].  The
+    step must depend on J's values only, and a product with a transposed
+    view rounds differently, so a J that is not C-ordered is copied first.
     """
     J = np.ascontiguousarray(J)
     G = J @ J.T
@@ -206,12 +289,9 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     lon0 = float(lon[0])
     params = np.concatenate([colat, lon[1:]])
 
-    full_residual = partial(_full_residual, n=n, lon0=lon0, w=w)
-    # Every point is evaluated with its Jacobian: an accepted trial's is the
-    # next iteration's, and the one of the converging point goes unused.
-    full, J = _residual_and_jacobian(full_residual, params)
-    norm = float(np.linalg.norm(full))
-    history = [float(np.max(np.abs(full[:n])))]
+    point = _residual(params, n, lon0, w)
+    norm = float(np.linalg.norm(point.r))
+    history = [float(np.max(np.abs(point.r[:n])))]
     converged = history[-1] <= _RESIDUAL_TOL
     mu = _DAMPING
     iterations = 0
@@ -220,21 +300,24 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     while not converged and iterations < _MAX_ITERATIONS:
         iterations += 1
         improved = False
+        # Only the accepted point's Jacobian is used: trials, rejected or
+        # converging, pay for their residual alone.
+        J = _jacobian(point)
         while mu <= _MU_CEIL:
-            step = _damped_step(J, full, mu)
+            step = _damped_step(J, point.r, mu)
             trial = params + step
             t_colat = trial[:n]
             # False on a NaN colatitude, as the trial must be rejected then.
             if (t_colat > 1e-6).all() and (t_colat < math.pi - 1e-6).all():
-                t_full, t_J = _residual_and_jacobian(full_residual, trial)
-                t_norm = float(np.linalg.norm(t_full))
+                t_point = _residual(trial, n, lon0, w)
+                t_norm = float(np.linalg.norm(t_point.r))
                 if t_norm < norm:
-                    params, full, J, norm = trial, t_full, t_J, t_norm
+                    params, point, norm = trial, t_point, t_norm
                     mu = max(mu / 10.0, _MU_FLOOR)
                     improved = True
                     break
             mu *= 10.0
-        history.append(float(np.max(np.abs(full[:n]))))
+        history.append(float(np.max(np.abs(point.r[:n]))))
         if history[-1] <= _RESIDUAL_TOL:
             converged = True
             break
@@ -247,7 +330,7 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     witness: Optional[ReducedWitness] = None
     failure: Optional[str] = None if converged else (stall_reason or "max_iterations reached")
     try:
-        polygon = SphericalPolygon(_embed(params, n, lon0))
+        polygon = SphericalPolygon(point.V)
     except RedsphereError as exc:
         if converged:
             converged = False
