@@ -175,7 +175,7 @@ def _cmd_regular(args) -> int:
         "perimeter": _fmt9(m.perimeter),
         "inradius": _fmt9(m.inradius),
         "circumradius": _fmt9(m.circumradius),
-        "diameter": _fmt9(P.diameter(reduced_hint=True)),
+        "diameter": _fmt9(P.lengths()[2]),
     })
     return 0
 
@@ -183,11 +183,12 @@ def _cmd_regular(args) -> int:
 def _cmd_metrics(args) -> int:
     P, _ = load_polygon(args.path)
     witness = reduced_check(P)
+    perimeter, diameter, _ = P.lengths()
     _print_json({
         "n": P.n,
         "thickness": _fmt9(witness.thickness),
-        "perimeter": _fmt9(P.perimeter()),
-        "diameter": _fmt9(P.diameter()),
+        "perimeter": _fmt9(perimeter),
+        "diameter": _fmt9(diameter),
         "circumcap_radius": _fmt9(cap_radius(P)),
         "is_reduced": witness.is_reduced,
         "max_residual": _fmt9(witness.max_residual),

@@ -92,25 +92,27 @@ def _angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _ring_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ring_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per vertex i of an n-gon: the next vertex i + 1, and the ends
-    i + (n - 1)/2 and i + (n + 1)/2 of the opposite side, all mod n (read-only)."""
+    i + (n - 1)/2 and i + (n + 1)/2 of the opposite side, all mod n; and the
+    mask [i, m] of v_i being an end of the side opposite v_m (read-only)."""
     i = np.arange(n)
-    out = ((i + 1) % n, (i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n)
+    j, k = (i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n
+    out = ((i + 1) % n, j, k, (i[:, None] == j) | (i[:, None] == k))
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def _opposite_poles(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices j, k of the side opposite each vertex and its unit pole v_j x v_k.
-
-    For every n >= 3, even too, the sides (v_j, v_k) are the n edges, once each.
-    """
-    _, j, k = _ring_indices(len(V))
-    P = _cross_rows(V[j], V[k])
-    P /= _norm_rows(P)[:, None]
-    return j, k, P
+@lru_cache(maxsize=32)
+def _gap_pairs(n: int) -> np.ndarray:
+    """Rows a, b of the vertex pairs (i, i + g mod n) of an n-gon, by gap
+    g = 1..n//2, then by i = 0..n - 1 (read-only).  Every pair comes once,
+    but those of gap n/2 of an even n twice."""
+    i = np.arange(n)
+    pairs = np.stack([np.tile(i, n // 2), ((i + np.arange(1, n // 2 + 1)[:, None]) % n).ravel()])
+    pairs.flags.writeable = False
+    return pairs
 
 
 # Candidate centres that circumcap scores at once.
@@ -191,28 +193,31 @@ class SphericalPolygon:
             raise DomainError(f"need at least 3 vertices, got {len(V)}")
         V = V / norm[:, None]
         n = len(V)
-        nxt = _ring_indices(n)[0]
+        nxt, j, k, on_side = _ring_indices(n)
         # Neighbour dots by matmul, which rounds like the 1-D dot product.
         nxt_dots = (V[:, None, :] @ V[nxt, :, None])[:, 0, 0]
         touching = np.flatnonzero(np.abs(nxt_dots) >= 1.0 - SEPARATION_TOL)
         if touching.size:
             first = int(touching[0])
             raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
-        j, k, P = _opposite_poles(V)
-        dots = V @ P.T  # [vertex, side (v_j, v_k)]
-        i = np.arange(n)
-        on_edge = (i[:, None] == j) | (i[:, None] == k)
-        if not np.all((dots > SEPARATION_TOL) | on_edge):
+        # Unit poles of the sides (v_j, v_k) opposite each vertex: for every n,
+        # even too, the n edges once each.
+        P = _cross_rows(V[j], V[k])
+        P /= _norm_rows(P)[:, None]
+        dots = V @ P.T  # [vertex, side opposite vertex m]
+        if not ((dots > SEPARATION_TOL) | on_side).all():
             raise NotConvex(
                 "vertex on the wrong side of an edge circle "
                 "(polygon non-convex or ordered clockwise)"
             )
         centroid = np.add.reduce(V, axis=0) / n
-        norm = float(np.linalg.norm(centroid))
-        if norm < SEPARATION_TOL or not np.all(V @ (centroid / norm) > SEPARATION_TOL):
+        # np.linalg.norm's formula for a vector.
+        norm = math.sqrt(centroid.dot(centroid))
+        if norm < SEPARATION_TOL or not (V @ (centroid / norm) > SEPARATION_TOL).all():
             raise NotInHemisphere("no open hemisphere contains every vertex")
-        V.flags.writeable = False
-        self._array = V
+        V.flags.writeable = P.flags.writeable = dots.flags.writeable = False
+        # The convexity test's poles and dots, for thickness and reduced_check.
+        self._array, self._poles, self._side_dots = V, P, dots
         # reduced_check's witnesses, by tolerance.
         self._witnesses: dict[float, ReducedWitness] = {}
 
@@ -224,8 +229,7 @@ class SphericalPolygon:
         return self._array.copy()
 
     def perimeter(self) -> float:
-        V = self._array
-        return float(np.sum(_angles(V, V[_ring_indices(self.n)[0]])))
+        return self.lengths()[0]
 
     def thickness(self) -> float:
         """Width of the thinnest lune containing the polygon.
@@ -235,26 +239,30 @@ class SphericalPolygon:
         boundary; the minimum over edges, in any order, is taken.  That the
         minimal lune is supported by an edge this way is validated against a
         random lune oracle in the test-suite rather than assumed silently.
+        The heights are arcsines of the constructor's convexity-test dots.
         """
-        V = self._array
-        heights = np.arcsin(np.clip(V @ _opposite_poles(V)[2].T, -1.0, 1.0))
-        return float(np.min(np.max(heights, axis=0)))
+        heights = np.arcsin(self._side_dots.clip(-1.0, 1.0))
+        return float(heights.max(axis=0).min())
 
-    def diameter(self, reduced_hint: bool = False) -> float:
-        """Largest pairwise vertex distance.
+    def diameter(self) -> float:
+        """Largest pairwise vertex distance, as lengths() measures it."""
+        return self.lengths()[1]
 
-        With reduced_hint (odd n only) just the pairs (i, i + (n - 1)/2) are
-        scanned: each vertex with one end of its opposite side.  The pair
-        with the other end, (i, i + (n + 1)/2), is the pair (m, m + (n - 1)/2)
-        of m = i + (n + 1)/2.  For reduced polygons the diameter is attained
-        at these pairs.
+    def lengths(self) -> tuple[float, float, float]:
+        """Perimeter, diameter and restricted diameter, from one _angles call.
+
+        The perimeter sums the edges, the pairs of gap 1, in order
+        i = 0..n - 1.  The restricted diameter scans the pairs (i, i + (n - 1)/2)
+        of odd n alone: each vertex with one end of its opposite side, since
+        (i, i + (n + 1)/2) is the pair (m, m + (n - 1)/2) of m = i + (n + 1)/2.
+        Reduced polygons attain their diameter there.  For even n it is the
+        diameter.
         """
-        V = self._array
-        n = self.n
-        if reduced_hint and n % 2 == 1:
-            return float(np.max(_angles(V, V[_ring_indices(n)[1]])))
-        a, b = _index_combinations(n, 2).T
-        return float(np.max(_angles(V[a], V[b])))
+        n, V = self.n, self._array
+        a, b = _gap_pairs(n)
+        d = _angles(V[a], V[b]).reshape(-1, n)  # [gap - 1, vertex]
+        diameter = float(d.max())
+        return float(np.add.reduce(d[0])), diameter, (float(d[-1].max()) if n % 2 else diameter)
 
     def circumcap(self) -> "Cap":
         """Smallest spherical cap containing every vertex.
@@ -283,9 +291,8 @@ class SphericalPolygon:
         slack = 1e-12
         best_cover, best_center = math.inf, None
         for C, anchor in _cap_candidates(V):
-            radius = np.arccos(np.clip((C[:, None, :] @ V[anchor][:, :, None])[:, 0, 0],
-                                       -1.0, 1.0))
-            cover = np.arccos(np.clip((V @ C[:, :, None])[..., 0], -1.0, 1.0)).max(axis=1)
+            radius = np.arccos((C[:, None, :] @ V[anchor][:, :, None])[:, 0, 0].clip(-1.0, 1.0))
+            cover = np.arccos((V @ C[:, :, None])[..., 0].clip(-1.0, 1.0)).max(axis=1)
             ok = np.flatnonzero((radius <= 0.5 * math.pi + slack) & (cover <= radius + slack))
             if ok.size:
                 m = ok[np.argmin(cover[ok])]
@@ -369,7 +376,7 @@ def _failed(polygon: SphericalPolygon, residual: float, reason: str) -> ReducedW
 
 def _degenerate(d: np.ndarray) -> bool:
     """Any unit-vector dot product that marks a coincident or antipodal pair."""
-    return bool(np.any(np.abs(d) >= 1.0 - SEPARATION_TOL))
+    return bool((np.abs(d) >= 1.0 - SEPARATION_TOL).any())
 
 
 def _arc_parameter(X: np.ndarray, A: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -425,8 +432,9 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     if n % 2 == 0:
         return _failed(polygon, math.nan, f"not an odd-gon: n={n}")
 
-    V = polygon._array
-    j, k, P = _opposite_poles(V)
+    V, P = polygon._array, polygon._poles
+    _, j, k, _ = _ring_indices(n)
+    # An einsum, not the diagonal of _side_dots, which can round differently.
     h = _dots(V, P)
     if _degenerate(h):
         return _failed(polygon, math.inf, "point coincides with a circle pole")
@@ -483,9 +491,9 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     O[~crosses] = math.nan
     F.flags.writeable = O.flags.writeable = False
 
-    thickness = float(np.min(dist))
-    spread = float(np.max(dist)) - thickness
-    if not np.all(interior):
+    thickness = float(dist.min())
+    spread = float(dist.max()) - thickness
+    if not interior.all():
         reason = "projection foot outside the open side interior"
     elif spread > tol:
         reason = f"distance spread {spread:.3e} exceeds tolerance {tol:.1e}"

@@ -21,6 +21,7 @@ numpy SIMD and BLAS dispatch.  Across dispatch, vertex rows agree to within
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -83,9 +84,9 @@ class Splitmix64:
         return (2.0 * self.uniform() - 1.0) * scale
 
 
-def _is_int(x) -> bool:
-    """An int and not a bool, which would pass for 0 or 1 and print as True."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _is_a(x, kind) -> bool:
+    """An instance of kind and not a bool, which would pass for 0 or 1 and print as True."""
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -98,14 +99,15 @@ class SamplerConfig:
     perturbation_scale: float = 0.05
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.n) and self.n >= 3 and self.n % 2 == 1):
+        if not (_is_a(self.n, int) and self.n >= 3 and self.n % 2 == 1):
             raise ValueError(f"n={self.n!r} must be an odd integer >= 3")
-        if not 0.0 < self.thickness < 0.5 * math.pi:
-            raise ValueError(f"thickness={self.thickness!r} outside (0, pi/2)")
-        if not (_is_int(self.seed) and self.seed >= 0):
+        if not (_is_a(self.thickness, numbers.Real) and 0.0 < self.thickness < 0.5 * math.pi):
+            raise ValueError(f"thickness={self.thickness!r} must be a number in (0, pi/2)")
+        if not (_is_a(self.seed, int) and self.seed >= 0):
             raise ValueError(f"seed={self.seed!r} must be a non-negative integer")
-        if not 0.0 <= self.perturbation_scale < self.thickness / 4.0:
-            raise ValueError("perturbation_scale must lie in [0, thickness/4)")
+        if not (_is_a(self.perturbation_scale, numbers.Real)
+                and 0.0 <= self.perturbation_scale < self.thickness / 4.0):
+            raise ValueError(f"perturbation_scale={self.perturbation_scale!r} outside [0, thickness/4)")
 
 
 @dataclass(frozen=True)

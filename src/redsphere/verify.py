@@ -40,6 +40,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -216,30 +217,41 @@ def table1_reports() -> list[VerificationReport]:
 # Witness invariants of one reduced polygon.
 
 
+@lru_cache(maxsize=32)
+def _bounds(n: int, thickness: float) -> tuple[float, ...]:
+    """g, lambda, the coarse diameter gap, the diameter and covering radius
+    bounds and the regular perimeter for n-gons of this thickness."""
+    g = regular_triangle_half_angle(thickness)
+    coarse_gap = diameter_bound_coarse(thickness) - diameter_bound(thickness)
+    return (g, math.tan(thickness), coarse_gap, diameter_bound(thickness),
+            covering_radius_bound(thickness), regular_metrics(n, thickness).perimeter)
+
+
 def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
                     thickness: float, tag: str) -> list[VerificationReport]:
-    """All theorem and structure claims for one polygon that passed reduced_check."""
+    """All theorem and structure claims for one polygon that passed reduced_check.
+
+    P.lengths() gives the perimeter and both diameters in one pass; the
+    bounds depend on n and thickness alone and are computed once per pair
+    (n, thickness).
+    """
     n = P.n
-    g = regular_triangle_half_angle(thickness)
-    lam = math.tan(thickness)
-    perimeter = P.perimeter()
-    diameter = P.diameter(reduced_hint=True)
+    g, lam, coarse_gap, max_diameter, max_radius, regular_perimeter = _bounds(n, thickness)
+    perimeter, full_diameter, diameter = P.lengths()
     radius = cap_radius(P)
     jung_floor = _jung_floor(radius)
-    coarse_gap = diameter_bound_coarse(thickness) - diameter_bound(thickness)
     out = [
-        _report("perimeter-min", tag, perimeter,
-                regular_metrics(n, thickness).perimeter, TOL_FORMULA, "ge"),
+        _report("perimeter-min", tag, perimeter, regular_perimeter, TOL_FORMULA, "ge"),
         _report("diameter-bound", f"{tag} coarse_gap={coarse_gap:.9g}", diameter,
-                diameter_bound(thickness), TOL_FORMULA, "le"),
+                max_diameter, TOL_FORMULA, "le"),
         _report("circumradius-bound", f"{tag} jung_slack={diameter - jung_floor:.9g}",
-                radius, covering_radius_bound(thickness), TOL_CAP, "le"),
+                radius, max_radius, TOL_CAP, "le"),
         _report("jung-relation", tag, diameter, jung_floor, TOL_FORMULA, "ge"),
         _report("thickness-agreement", tag,
                 abs(P.thickness() - witness.thickness), 0.0, 1e-9, "le"),
         _report("thickness-range", tag, witness.thickness, 0.5 * math.pi, 1e-10, "le"),
         _report("diameter-pair-restriction", tag,
-                abs(diameter - P.diameter()), 0.0, 1e-12, "le"),
+                abs(diameter - full_diameter), 0.0, 1e-12, "le"),
         _report("angle-sandwich-lower", tag,
                 max(witness.foot_diagonal_angles), g, TOL_FORMULA, "le"),
         _report("angle-sandwich-upper", tag,
@@ -259,10 +271,10 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
         out.append(_report("crossing-angle-range", tag, margin, 0.0, 0.0, "gt"))
         total = sum(phis)
         out.append(_report("crossing-angle-sum", tag, total, math.pi, TOL_FORMULA, "ge"))
-        if max(abs(p - math.pi / n) for p in phis) <= REGULAR_PHI_SPREAD:
+        spread = max(abs(p - math.pi / n) for p in phis)
+        if spread <= REGULAR_PHI_SPREAD:
             out.append(_report("crossing-angle-sum-regular", tag, total, math.pi, 1e-9, "eq"))
-            out.append(_report("crossing-angles-regular", tag,
-                               max(abs(p - math.pi / n) for p in phis), 0.0, 1e-9, "le"))
+            out.append(_report("crossing-angles-regular", tag, spread, 0.0, 1e-9, "le"))
         else:
             out.append(_report("crossing-angle-sum-strict", tag, total, math.pi, 1e-9, "gt"))
         # Spoke-decomposition identity: geometric perimeter equals twice the
@@ -271,10 +283,9 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
                    for y in witness.crossing_foot_distances)
         out.append(_report("perimeter-witness-identity", tag,
                            perimeter, 2.0 * arms, TOL_FORMULA, "eq"))
-        mean_phi = sum(phis) / n
         out.append(_report("perimeter-jensen", tag,
                            2.0 * sum(_arm(arm_from_angle, p, lam) for p in phis),
-                           2.0 * n * _arm(arm_from_angle, mean_phi, lam), 1e-9, "ge"))
+                           2.0 * n * _arm(arm_from_angle, total / n, lam), 1e-9, "ge"))
     else:
         out.append(_report("crossing-angle-range", tag, math.nan, 0.0, 0.0, "gt"))
     return out

@@ -110,7 +110,7 @@ def test_criterion_06_diameter_bound_sharp_and_below_coarse(sample_grid):
         bound = diameter_bound(omega)
         for s in batch:
             if s.converged:
-                assert s.polygon.diameter(reduced_hint=True) <= bound + 1e-8
+                assert s.polygon.lengths()[2] <= bound + 1e-8
     for omega in OMEGA_GRID:
         triangle = build_regular(3, omega)
         assert triangle.diameter() == pytest.approx(diameter_bound(omega), abs=1e-9)
@@ -126,7 +126,7 @@ def test_criterion_07_circumcap_bound_and_two_point_cap_relation(sample_grid):
             r = s.polygon.circumcap().radius
             assert r <= bound + 1e-7, (n, omega)
             jung_floor = 2.0 * math.asin(0.5 * math.sqrt(3.0) * math.sin(r))
-            assert s.polygon.diameter(reduced_hint=True) >= jung_floor - 1e-8
+            assert s.polygon.lengths()[2] >= jung_floor - 1e-8
     for omega in OMEGA_GRID:
         triangle = build_regular(3, omega)
         assert triangle.circumcap().radius == pytest.approx(

@@ -49,7 +49,14 @@ from redsphere import (
     save_polygon,
 )
 from redsphere import polygon as polygon_module
-from redsphere.polygon import _CAP_BLOCK, EDGE_EPS, REDUCED_TOL, _index_combinations
+from redsphere.polygon import (
+    _CAP_BLOCK,
+    EDGE_EPS,
+    REDUCED_TOL,
+    _angles,
+    _index_combinations,
+    _ring_indices,
+)
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -292,6 +299,11 @@ class TestConstruction:
         copy[0, 0] = 0.0
         assert copy[0, 0] == 0.0
         assert pentagon._array[0, 0] != 0.0
+
+    def test_kept_poles_and_dots_are_read_only(self, pentagon):
+        for kept in (pentagon._poles, pentagon._side_dots):
+            with pytest.raises(ValueError):
+                kept[0, 0] = 0.0
 
 
 def reference_rows(V):
@@ -720,12 +732,87 @@ class TestPerimeter:
 
 class TestDiameter:
     def test_restricted_scan_agrees_with_full_scan(self, crooked_heptagon):
-        assert abs(crooked_heptagon.diameter(reduced_hint=True)
-                   - crooked_heptagon.diameter()) <= 1e-12
+        _, full, restricted = crooked_heptagon.lengths()
+        assert abs(restricted - full) <= 1e-12
 
     def test_triangle_all_pairs_equal(self):
-        P = build_regular(3, math.pi / 3)
-        assert P.diameter() == pytest.approx(P.diameter(reduced_hint=True), abs=1e-12)
+        _, full, restricted = build_regular(3, math.pi / 3).lengths()
+        assert full == pytest.approx(restricted, abs=1e-12)
+
+
+def separate_lengths(P):
+    """Perimeter, diameter and restricted diameter from three _angles calls,
+    the oracle of the one pair pass of lengths()."""
+    V = P.as_array()
+    nxt, j, _, _ = _ring_indices(P.n)
+    a, b = _index_combinations(P.n, 2).T
+    diameter = float(np.max(_angles(V[a], V[b])))
+    restricted = float(np.max(_angles(V, V[j]))) if P.n % 2 else diameter
+    return float(np.sum(_angles(V, V[nxt]))), diameter, restricted
+
+
+def fresh_poles(V):
+    """Unit poles v_j x v_k of the sides opposite each vertex, computed with
+    np.cross and np.linalg.norm, which the constructor's kernels match bit for bit."""
+    _, j, k, _ = _ring_indices(len(V))
+    P = np.cross(V[j], V[k])
+    return P / np.linalg.norm(P, axis=1)[:, None]
+
+
+def fresh_thickness(P):
+    """thickness() from poles computed afresh, the oracle of the kept dots."""
+    V = P.as_array()
+    heights = np.arcsin(np.clip(V @ fresh_poles(V).T, -1.0, 1.0))
+    return float(np.min(np.max(heights, axis=0)))
+
+
+def _random_rings(count, seed):
+    """Polygons of 3 to 101 vertices at random longitudes on a random small
+    circle, slightly wobbled, then turned by a random rotation."""
+    rng = np.random.default_rng(seed)
+    rings = []
+    while len(rings) < count:
+        n = int(rng.integers(3, 102))
+        lons = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=n))
+        colat = rng.uniform(0.2, 1.2) * (1.0 + 1e-4 / n ** 2 * rng.uniform(-1.0, 1.0, size=n))
+        turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        turn *= np.linalg.det(turn)
+        rows = np.array([spherical_row(c, lon) for c, lon in zip(colat, lons)]) @ turn.T
+        try:
+            rings.append(SphericalPolygon(rows))
+        except (NotConvex, NotInHemisphere):
+            continue
+    return rings
+
+
+class TestMeasuredOnce:
+    """lengths() and thickness() give their oracles' numbers bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def polygons(self, sample_grid):
+        polygons = [s.polygon for batch in sample_grid.cells.values()
+                    for s in batch if s.polygon is not None]
+        polygons += [build_regular(n, w) for n in range(3, 22, 2) for w in OMEGA_GRID]
+        polygons += [SphericalPolygon(_ring(0.5, np.arange(n) * 2.0 * math.pi / n))
+                     for n in range(4, 21, 2)]
+        polygons.append(build_regular(101, QUARTER_PI))
+        return polygons + _random_hulls(60, seed=11) + _random_rings(200, seed=12)
+
+    def test_pair_pass_matches_separate_scans(self, polygons):
+        for P in polygons:
+            want = separate_lengths(P)
+            assert P.lengths() == want
+            assert (P.perimeter(), P.diameter()) == want[:2]
+
+    def test_thickness_matches_fresh_poles(self, polygons):
+        for P in polygons:
+            assert P.thickness() == fresh_thickness(P)
+
+    def test_kept_arrays_match_fresh_ones(self, polygons):
+        for P in polygons:
+            V = P.as_array()
+            assert np.array_equal(P._poles, fresh_poles(V))
+            assert np.array_equal(P._side_dots, V @ P._poles.T)
 
 
 class TestCircumcap:

@@ -110,6 +110,22 @@ class TestSamplerConfig:
             with pytest.raises(ValueError, match="must be"):
                 SamplerConfig(thickness=QUARTER_PI, **kwargs)
 
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+    def test_thickness_must_be_a_number(self, value):
+        # thickness=True once ran as thickness 1 and tagged its report rows
+        # thickness=1; a string raised TypeError from the comparison.
+        with pytest.raises(ValueError, match="thickness="):
+            SamplerConfig(n=5, thickness=value, seed=0)
+
+    @pytest.mark.parametrize("value", [True, False, "0", None])
+    def test_perturbation_scale_must_be_a_number(self, value):
+        with pytest.raises(ValueError, match="perturbation_scale="):
+            SamplerConfig(n=5, thickness=QUARTER_PI, seed=0, perturbation_scale=value)
+
+    def test_numeric_types_accepted(self):
+        cfg = SamplerConfig(n=5, thickness=np.float64(QUARTER_PI), seed=0, perturbation_scale=0)
+        assert cfg.perturbation_scale == 0 and cfg.thickness == QUARTER_PI
+
     def test_batch_count_validated(self):
         cfg = SamplerConfig(n=5, thickness=QUARTER_PI, seed=0)
         with pytest.raises(ValueError):

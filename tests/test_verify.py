@@ -10,6 +10,7 @@ from conftest import pulled_regular
 from redsphere import (
     SamplerConfig,
     SampleResult,
+    SphericalPolygon,
     build_regular,
     check_bound_gap,
     check_regular_monotonicity,
@@ -27,6 +28,8 @@ from redsphere import (
     OMEGA_GRID,
     TABLE1_REFERENCE,
 )
+from redsphere import polygon as polygon_module
+from redsphere.polygon import REDUCED_TOL
 from redsphere.verify import _report
 
 QUARTER_PI = 0.25 * math.pi
@@ -153,6 +156,23 @@ class TestPolygonReports:
         assert "crossing-angle-sum-regular" not in by_id
         assert all(r.passed for r in reports)
 
+
+    def test_every_call_measures_afresh(self, monkeypatch):
+        # Nothing is cached on the polygon, so a run that verifies the same
+        # polygon again does the same work again.
+        s = sample_reduced(SamplerConfig(n=7, thickness=QUARTER_PI, seed=5))
+        P = s.polygon
+        full_suite([s], include_formula_checks=False)
+        polygon_reports(P, s.witness, QUARTER_PI, "again")
+        assert set(vars(P)) == set(vars(SphericalPolygon(P.as_array())))
+        assert list(P._witnesses) == [REDUCED_TOL]
+        rows = []
+        angles = polygon_module._angles
+        monkeypatch.setattr(polygon_module, "_angles",
+                            lambda A, B: rows.append(len(A)) or angles(A, B))
+        for _ in range(2):
+            polygon_reports(P, s.witness, QUARTER_PI, "again")
+        assert rows == [21, 21]
 
     def test_formula_domain_errors_fail_their_rows(self):
         P = pulled_regular(5, QUARTER_PI)
