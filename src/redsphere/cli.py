@@ -329,6 +329,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, json.JSONDecodeError, RedsphereError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # the sampler refusing a seed range past 2**64
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,14 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import formulas
-from .errors import (
-    DegeneratePoint,
-    DomainError,
-    NoEnclosingCap,
-    NotConvex,
-    NotInHemisphere,
-    PolygonDocumentError,
-)
+from .errors import (DegeneratePoint, DomainError, NoEnclosingCap, NotConvex, NotInHemisphere,
+                     PolygonDocumentError)
 
 __all__ = [
     "SphericalPolygon",
@@ -64,6 +58,13 @@ def _cross_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     np.cross's, since reductions over it round differently in F order.
     """
     return np.subtract(A[..., _NEXT] * B[..., _PREV], A[..., _PREV] * B[..., _NEXT], order="C")
+
+
+def cross_plan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat indices I with Y[0] * Y[1] - Y[2] * Y[3], Y = X.ravel()[I], the
+    rows a x b of an (m, 3) array X, as np.cross computes them."""
+    a3, b3 = 3 * a[:, None], 3 * b[:, None]
+    return np.stack([a3 + _NEXT, b3 + _PREV, a3 + _PREV, b3 + _NEXT])
 
 
 def _norm_rows(A: np.ndarray) -> np.ndarray:
@@ -106,13 +107,22 @@ def _ring_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 
 @lru_cache(maxsize=32)
 def _gap_pairs(n: int) -> np.ndarray:
-    """Rows a, b of the vertex pairs (i, i + g mod n) of an n-gon, by gap
+    """Rows (a, b) of the vertex pairs (i, i + g mod n) of an n-gon, by gap
     g = 1..n//2, then by i = 0..n - 1 (read-only).  Every pair comes once,
     but those of gap n/2 of an even n twice."""
     i = np.arange(n)
-    pairs = np.stack([np.tile(i, n // 2), ((i + np.arange(1, n // 2 + 1)[:, None]) % n).ravel()])
+    pairs = np.stack([np.tile(i, n // 2), ((i + np.arange(1, n // 2 + 1)[:, None]) % n).ravel()], 1)
     pairs.flags.writeable = False
     return pairs
+
+
+@lru_cache(maxsize=8)
+def _pair_plan(m: int) -> np.ndarray:
+    """cross_plan of the rows X[r, 0] x X[r, 1] of a raveled (m, 2, 3) array
+    X (read-only).  Cached by m, not by n: circumcap's m is its block's."""
+    plan = cross_plan(2 * np.arange(m), 2 * np.arange(m) + 1)
+    plan.flags.writeable = False
+    return plan
 
 
 # Candidate centres that circumcap scores at once.
@@ -128,34 +138,15 @@ def _index_combinations(n: int, k: int) -> np.ndarray:
     return rows
 
 
-def _unit_rows(R: np.ndarray, anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of R at least SEPARATION_TOL long, normalized, with their anchors.
-
-    The norm is the square root of a batched-matmul self dot, which rounds
-    like the 1-D np.linalg.norm; np.linalg.norm(axis=1) does not.
-    """
-    norm = np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
-    keep = norm >= SEPARATION_TOL
-    return R[keep] / norm[keep, None], anchor[keep]
-
-
-def _cap_candidates(V: np.ndarray):
-    """Blocks (centres, anchors) of circumcap's candidate centres, in order.
-
-    Pair midpoints first, then the triple centres; a block holds up to
-    _CAP_BLOCK candidates and may run across from pairs to triples.  Row m
-    of a block is a candidate whose cap boundary passes through V[anchor[m]].
-    """
-    n = V.shape[0]
-    pairs = _index_combinations(n, 2)
-    triples = _index_combinations(n, 3)
+def _cap_blocks(n: int):
+    """circumcap's blocks: pair rows, then triple rows, as slices of
+    _index_combinations.  A block holds _CAP_BLOCK candidates, the last
+    fewer, and may run across from pairs to triples; every n <= 23 takes one."""
+    pairs, triples = _index_combinations(n, 2), _index_combinations(n, 3)
     m = len(pairs)
     for start in range(0, m + len(triples), _CAP_BLOCK):
         stop = start + _CAP_BLOCK
-        i, j = pairs[start:stop].T
-        a, b, c = triples[max(start - m, 0):max(stop - m, 0)].T
-        R = np.concatenate([V[i] + V[j], _cross_rows(V[a] - V[b], V[b] - V[c])])
-        yield _unit_rows(R, np.concatenate([i, a]))
+        yield pairs[start:stop], triples[max(start - m, 0):max(stop - m, 0)]
 
 
 class SphericalPolygon:
@@ -187,8 +178,7 @@ class SphericalPolygon:
             raise DomainError(f"vertex {bad[0]} has a non-finite norm ({norm[bad[0]]})")
         short = np.flatnonzero(norm < SEPARATION_TOL)
         if short.size:
-            raise DegeneratePoint(
-                f"vector too short to normalize (norm={float(norm[short[0]])!r})")
+            raise DegeneratePoint(f"vector too short to normalize (norm={float(norm[short[0]])!r})")
         if len(V) < 3:
             raise DomainError(f"need at least 3 vertices, got {len(V)}")
         V = V / norm[:, None]
@@ -206,10 +196,8 @@ class SphericalPolygon:
         P /= _norm_rows(P)[:, None]
         dots = V @ P.T  # [vertex, side opposite vertex m]
         if not ((dots > SEPARATION_TOL) | on_side).all():
-            raise NotConvex(
-                "vertex on the wrong side of an edge circle "
-                "(polygon non-convex or ordered clockwise)"
-            )
+            raise NotConvex("vertex on the wrong side of an edge circle "
+                            "(polygon non-convex or ordered clockwise)")
         centroid = np.add.reduce(V, axis=0) / n
         # np.linalg.norm's formula for a vector.
         norm = math.sqrt(centroid.dot(centroid))
@@ -249,9 +237,11 @@ class SphericalPolygon:
         return self.lengths()[1]
 
     def lengths(self) -> tuple[float, float, float]:
-        """Perimeter, diameter and restricted diameter, from one _angles call.
+        """Perimeter, diameter and restricted diameter, from one pair pass.
 
-        The perimeter sums the edges, the pairs of gap 1, in order
+        It takes the angles of the pairs of _gap_pairs as _angles does, from
+        one gather of V and, for the cross products, one flat gather.  The
+        perimeter sums the edges, the pairs of gap 1, in order
         i = 0..n - 1.  The restricted diameter scans the pairs (i, i + (n - 1)/2)
         of odd n alone: each vertex with one end of its opposite side, since
         (i, i + (n + 1)/2) is the pair (m, m + (n - 1)/2) of m = i + (n + 1)/2.
@@ -259,8 +249,10 @@ class SphericalPolygon:
         diameter.
         """
         n, V = self.n, self._array
-        a, b = _gap_pairs(n)
-        d = _angles(V[a], V[b]).reshape(-1, n)  # [gap - 1, vertex]
+        X = V.take(_gap_pairs(n), axis=0)
+        Y = X.ravel()[_pair_plan(len(X))]
+        d = np.arctan2(_norm_rows(Y[0] * Y[1] - Y[2] * Y[3]), _dots(X[:, 0], X[:, 1]))
+        d = d.reshape(-1, n)  # [gap - 1, vertex]
         diameter = float(d.max())
         return float(np.add.reduce(d[0])), diameter, (float(d[-1].max()) if n % 2 else diameter)
 
@@ -271,18 +263,17 @@ class SphericalPolygon:
         caps, as array code over all candidate centres.  The candidates are
         every pair midpoint, in combinations order, then every triple's
         c = (v_i - v_j) x (v_j - v_k), in combinations order; pairs and
-        triples whose direction is shorter than SEPARATION_TOL are skipped.  A
-        candidate counts when its own cap (radius to v_i) is at most pi/2 and
-        covers every vertex; of those, the first with the least cover wins.
-        The centre -c of a triple is not a candidate: c . v_i = det(v_i, v_j,
-        v_k), which is positive for i < j < k of a counterclockwise strictly
-        convex polygon, so the cap around -c has a radius above pi/2 and
-        never counts.  Candidates are scored in blocks of _CAP_BLOCK, which
-        run across from pairs to triples, so every n <= 23 takes one block
-        and memory stays bounded at n = 99.  Norms and dot products are
-        batched matmuls, which round like 1-D dot products, so the cap is bit
-        for bit the one a loop over candidates with 1-D dot products finds;
-        the tests keep that loop as the oracle.
+        triples whose direction is shorter than SEPARATION_TOL are masked
+        out.  A candidate counts when its own cap (radius to v_i) is at most
+        pi/2 and covers every vertex; of those, the first with the least
+        cover wins.  The centre -c of a triple is not a candidate: c . v_i =
+        det(v_i, v_j, v_k), which is positive for i < j < k of a
+        counterclockwise strictly convex polygon, so the cap around -c has a
+        radius above pi/2 and never counts.  Each block of _cap_blocks
+        gathers V once for its pairs and once for its triples, and its cross
+        products by one flat gather; short rows are masked, not dropped.
+        Norms are (1x3)@(3x1) matmuls and cover dots the batched gemv V @ c,
+        as the tests' loop oracle takes them, so the cap is bit for bit its.
         """
         n = self.n
         if n > 99:
@@ -290,10 +281,22 @@ class SphericalPolygon:
         V = self._array
         slack = 1e-12
         best_cover, best_center = math.inf, None
-        for C, anchor in _cap_candidates(V):
-            radius = np.arccos((C[:, None, :] @ V[anchor][:, :, None])[:, 0, 0].clip(-1.0, 1.0))
-            cover = np.arccos((V @ C[:, :, None])[..., 0].clip(-1.0, 1.0)).max(axis=1)
-            ok = np.flatnonzero((radius <= 0.5 * math.pi + slack) & (cover <= radius + slack))
+        for pairs, triples in _cap_blocks(n):
+            P, T = V.take(pairs, axis=0), V.take(triples, axis=0)
+            Y = (T[:, :2] - T[:, 1:]).ravel()[_pair_plan(len(T))]
+            # Rows aligned like fresh vectors: Prescott's ddot rounds by alignment.
+            R = np.empty((len(P) + len(T), 4))[:, :3]
+            np.add(P[:, 0], P[:, 1], out=R[:len(P)])
+            np.subtract(Y[0] * Y[1], Y[2] * Y[3], out=R[len(P):])
+            norm = np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+            keep = norm >= SEPARATION_TOL
+            C = R / np.where(keep, norm, 1.0)[:, None]
+            anchor = np.concatenate([P[:, 0], T[:, 0]])
+            radius = np.arccos((C[:, None, :] @ anchor[:, :, None])[:, 0, 0].clip(-1.0, 1.0))
+            # [vertex, candidate]: the max over a short last axis is slow.
+            D = np.maximum((V @ C[:, :, None])[..., 0].T, -1.0, order="C")
+            cover = np.arccos(np.minimum(D, 1.0)).max(axis=0)
+            ok = np.flatnonzero(keep & (radius <= 0.5 * math.pi + slack) & (cover <= radius + slack))
             if ok.size:
                 m = ok[np.argmin(cover[ok])]
                 # Strict: on equal covers the earlier block's candidate stays.

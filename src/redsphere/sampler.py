@@ -30,12 +30,7 @@ import numpy as np
 
 from .errors import RedsphereError
 from .formulas import regular_metrics
-from .polygon import (
-    REDUCED_TOL,
-    ReducedWitness,
-    SphericalPolygon,
-    reduced_check,
-)
+from .polygon import REDUCED_TOL, ReducedWitness, SphericalPolygon, cross_plan, reduced_check
 
 __all__ = ["Splitmix64", "SamplerConfig", "SampleResult", "sample_reduced", "sample_batch"]
 
@@ -103,8 +98,8 @@ class SamplerConfig:
             raise ValueError(f"n={self.n!r} must be an odd integer >= 3")
         if not (_is_a(self.thickness, numbers.Real) and 0.0 < self.thickness < 0.5 * math.pi):
             raise ValueError(f"thickness={self.thickness!r} must be a number in (0, pi/2)")
-        if not (_is_a(self.seed, int) and self.seed >= 0):
-            raise ValueError(f"seed={self.seed!r} must be a non-negative integer")
+        if not (_is_a(self.seed, int) and 0 <= self.seed <= _MASK64):
+            raise ValueError(f"seed={self.seed!r} must be an integer in [0, 2**64)")
         if not (_is_a(self.perturbation_scale, numbers.Real)
                 and 0.0 <= self.perturbation_scale < self.thickness / 4.0):
             raise ValueError(f"perturbation_scale={self.perturbation_scale!r} outside [0, thickness/4)")
@@ -140,14 +135,6 @@ class _Point(NamedTuple):
     p: np.ndarray
     c_norm: np.ndarray
     s: np.ndarray
-
-
-def _cross_plan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flat indices I with Y[0] * Y[1] - Y[2] * Y[3], Y = X.ravel()[I], the
-    rows a x b of an (m, 3) array X, as np.cross computes them."""
-    nxt, prv = np.array([1, 2, 0]), np.array([2, 0, 1])
-    a3, b3 = 3 * a[:, None], 3 * b[:, None]
-    return np.stack([a3 + nxt, b3 + prv, a3 + prv, b3 + nxt])
 
 
 @lru_cache(maxsize=32)
@@ -186,10 +173,10 @@ def _plan(n: int) -> dict[str, np.ndarray]:
     n_params = 2 * n - 1
     plan = {
         "FACTORS": factors,
-        "CROSS": _cross_plan(j, k),
+        "CROSS": cross_plan(j, k),
         # Rows of [V; u]: v_k x u_i, then u_i x v_j.
-        "GRAD_CROSS": _cross_plan(np.concatenate([k, n + i]),
-                                  np.concatenate([n + i, j])).reshape(4, -1),
+        "GRAD_CROSS": cross_plan(np.concatenate([k, n + i]),
+                                 np.concatenate([n + i, j])).reshape(4, -1),
         "GRAD": 3 * q[:, None] + xyz,
         "TANGENT": 3 * F_row[cols, None] + xyz,
         "HEIGHT": row[q],
@@ -355,10 +342,12 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
 
 
 def sample_batch(cfg: SamplerConfig, count: int) -> list[SampleResult]:
-    """count independent samples from seeds cfg.seed, cfg.seed+1, ...
+    """count independent samples from seeds cfg.seed, cfg.seed+1, ... < 2**64.
 
     Per-sample failures are recorded in the results, never raised.
     """
-    if count < 1:
-        raise ValueError(f"count={count!r} must be >= 1")
+    if not (_is_a(count, int) and count >= 1):
+        raise ValueError(f"count={count!r} must be an integer >= 1")
+    if cfg.seed + count > 1 << 64:
+        raise ValueError(f"seeds {cfg.seed}..{cfg.seed + count - 1} pass 2**64 - 1")
     return [sample_reduced(replace(cfg, seed=cfg.seed + k)) for k in range(count)]

@@ -42,12 +42,12 @@ def spherical_row(colat, lon):
     return [s * math.cos(lon), s * math.sin(lon), math.cos(colat)]
 
 
-def pulled_regular(n, thickness):
-    """The regular n-gon with vertex 0's colatitude raised by 0.05."""
+def pulled_regular(n, thickness, pull=0.05):
+    """The regular n-gon with vertex 0's colatitude raised by pull."""
     colat = regular_metrics(n, thickness).circumradius
     rows = [spherical_row(colat, 2.0 * math.pi * k / n) for k in range(n)]
     x, y, z = build_regular(n, thickness).as_array()[0]
-    rows[0] = spherical_row(math.acos(z) + 0.05, math.atan2(y, x))
+    rows[0] = spherical_row(math.acos(z) + pull, math.atan2(y, x))
     return SphericalPolygon(rows)
 
 

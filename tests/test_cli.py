@@ -65,6 +65,13 @@ class TestArgumentValidation:
         (("regular", "--n", "5", "--thickness", "abc"), "cannot parse thickness"),
         (("sample", "--n", "5", "--thickness", "pi/4", "--count", "x"), "expected an integer"),
         (("lemmas", "--lambdas", "0.5,abc"), "cannot parse lambda list"),
+        # Splitmix64 reduces a seed mod 2**64, so a seed past it would alias another.
+        (("sample", "--n", "5", "--thickness", "pi/4", "--seed", str(2**64)),
+         "must be an integer in [0, 2**64)"),
+        (("sample", "--n", "5", "--thickness", "pi/4", "--seed", str(2**64 - 1), "--count", "2"),
+         f"seeds {2**64 - 1}..{2**64} pass 2**64 - 1"),
+        (("suite", "--seed", str(2**64)), "must be an integer in [0, 2**64)"),
+        (("suite", "--seed", str(2**64 - 4), "--count", "5"), "pass 2**64 - 1"),
     ])
     def test_bad_sampler_arguments_are_usage_errors(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -866,6 +866,7 @@ class TestCircumcap:
         triples = _index_combinations(21, 3).tolist()
         assert len(triples) > polygon_module._CAP_BLOCK
         assert triples.index(list(far)) >= polygon_module._CAP_BLOCK
+        assert len(list(polygon_module._cap_blocks(21))) > 1
         cap = P.circumcap()
         _assert_same_cap(cap, reference_circumcap(P))
         assert cap.radius == pytest.approx(0.5, abs=1e-12)
@@ -875,7 +876,35 @@ class TestCircumcap:
         monkeypatch.setattr(polygon_module, "_CAP_BLOCK", 4)
         polygons = [build_regular(n, w) for n in (3, 5, 7, 9) for w in OMEGA_GRID]
         for P in polygons + [crooked_heptagon]:
+            # Only the triangle's 3 pairs and 1 triple fit in one block of 4.
+            assert len(list(polygon_module._cap_blocks(P.n))) > 1 or P.n == 3
             _assert_same_cap(P.circumcap(), reference_circumcap(P))
+
+    @pytest.mark.parametrize("block", [4, 1024, 2048])
+    def test_blocks_enumerate_pairs_then_triples(self, monkeypatch, block):
+        # Every pair, then every triple, once each in combinations order, in
+        # blocks of the patched size; each candidate is anchored at its first vertex.
+        monkeypatch.setattr(polygon_module, "_CAP_BLOCK", block)
+        for n in range(3, 31):
+            want = list(combinations(range(n), 2)) + list(combinations(range(n), 3))
+            blocks = list(polygon_module._cap_blocks(n))
+            assert len(blocks) == -(-len(want) // block)
+            start = 0
+            for pairs, triples in blocks:
+                rows = [tuple(r) for r in pairs.tolist() + triples.tolist()]
+                assert rows == want[start:start + block]
+                anchors = np.concatenate([pairs[:, 0], triples[:, 0]])
+                assert anchors.tolist() == [r[0] for r in rows]
+                start += len(rows)
+            assert start == len(want)
+
+    @pytest.mark.parametrize("pull", [0.0, 0.01])
+    def test_several_blocks_at_the_default_size(self, pull):
+        # 300 pairs and 2300 triples take two blocks of 2048; a pull of 0.05
+        # would leave the 25-gon non-convex.
+        P = pulled_regular(25, QUARTER_PI, pull)
+        assert len(list(polygon_module._cap_blocks(P.n))) == 2
+        _assert_same_cap(P.circumcap(), reference_circumcap(P))
 
     def test_negated_triple_centres_never_count(self):
         # circumcap scores only +c of each triple; -c, which the loop oracle

@@ -128,8 +128,22 @@ class TestSamplerConfig:
 
     def test_batch_count_validated(self):
         cfg = SamplerConfig(n=5, thickness=QUARTER_PI, seed=0)
-        with pytest.raises(ValueError):
-            sample_batch(cfg, 0)
+        for count in (0, True, 2.0, "2"):
+            with pytest.raises(ValueError, match="must be an integer >= 1"):
+                sample_batch(cfg, count)
+
+    def test_seeds_past_two_to_the_64_refused(self):
+        # Splitmix64 reduces its seed mod 2**64: seed 2**64 once gave seed 0's
+        # polygon bit for bit under report rows tagged seed=18446744073709551616.
+        with pytest.raises(ValueError, match=r"in \[0, 2\*\*64\)"):
+            SamplerConfig(n=5, thickness=QUARTER_PI, seed=2**64)
+        last = SamplerConfig(n=5, thickness=QUARTER_PI, seed=2**64 - 1)
+        with pytest.raises(ValueError, match="pass 2"):
+            sample_batch(last, 2)
+        (s,) = sample_batch(last, 1)
+        assert s.config.seed == 2**64 - 1
+        first = sample_reduced(SamplerConfig(n=5, thickness=QUARTER_PI, seed=0))
+        assert not np.array_equal(s.polygon.as_array(), first.polygon.as_array())
 
 
 class TestSampleReduced:

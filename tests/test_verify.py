@@ -166,10 +166,11 @@ class TestPolygonReports:
         polygon_reports(P, s.witness, QUARTER_PI, "again")
         assert set(vars(P)) == set(vars(SphericalPolygon(P.as_array())))
         assert list(P._witnesses) == [REDUCED_TOL]
+        # The pair pass takes the norms of its 21 cross products once per call.
         rows = []
-        angles = polygon_module._angles
-        monkeypatch.setattr(polygon_module, "_angles",
-                            lambda A, B: rows.append(len(A)) or angles(A, B))
+        norm_rows = polygon_module._norm_rows
+        monkeypatch.setattr(polygon_module, "_norm_rows",
+                            lambda A: rows.append(len(A)) or norm_rows(A))
         for _ in range(2):
             polygon_reports(P, s.witness, QUARTER_PI, "again")
         assert rows == [21, 21]
