@@ -11,7 +11,6 @@ verify fails the two claims that read it.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Optional, Sequence
@@ -126,21 +125,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("regular", help="build a regular odd-gon of given thickness")
+    p.set_defaults(run=_cmd_regular)
     p.add_argument("--n", type=_odd_int, required=True)
     p.add_argument("--thickness", type=_thickness, required=True)
     p.add_argument("--out", default=None, help="write the polygon as JSON")
 
     p = sub.add_parser("metrics", help="measure a polygon stored as JSON")
+    p.set_defaults(run=_cmd_metrics)
     p.add_argument("--in", dest="path", required=True)
 
     p = sub.add_parser("verify", help="check reducedness and every claim")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--tol", type=_tolerance, default=REDUCED_TOL)
 
     p = sub.add_parser("table1", help="print the covering-radius table")
+    p.set_defaults(run=_cmd_table1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("sample", help="sample perturbed reduced polygons")
+    p.set_defaults(run=_cmd_sample)
     p.add_argument("--n", type=_odd_int, required=True)
     p.add_argument("--thickness", type=_sample_thickness, required=True)
     p.add_argument("--count", type=_count, default=10)
@@ -149,10 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("lemmas", help="tabulate the scalar maps on a grid")
+    p.set_defaults(run=_cmd_lemmas)
     p.add_argument("--grid", type=_int_at_least("grid", 100), default=1000)
     p.add_argument("--lambdas", type=_lambda_list, default=LAMBDA_GRID)
 
     p = sub.add_parser("suite", help="run the default verification grid")
+    p.set_defaults(run=_cmd_suite)
     p.add_argument("--count", type=_count, default=5)
     p.add_argument("--seed", type=_seed, default=0)
 
@@ -181,7 +187,7 @@ def _cmd_regular(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    P, _ = load_polygon(args.path)
+    P = load_polygon(args.path)
     witness = reduced_check(P)
     perimeter, diameter, _ = P.lengths()
     _print_json({
@@ -197,7 +203,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    P, _ = load_polygon(args.path)
+    P = load_polygon(args.path)
     witness = reduced_check(P, tol=args.tol)
     payload = {"n": P.n, "is_reduced": witness.is_reduced,
                "thickness": _fmt9(witness.thickness),
@@ -305,17 +311,6 @@ def _cmd_suite(args) -> int:
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "regular": _cmd_regular,
-    "metrics": _cmd_metrics,
-    "verify": _cmd_verify,
-    "table1": _cmd_table1,
-    "sample": _cmd_sample,
-    "lemmas": _cmd_lemmas,
-    "suite": _cmd_suite,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -323,10 +318,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except BrokenPipeError:
         return 0
-    except (OSError, json.JSONDecodeError, RedsphereError) as exc:
+    except (OSError, RedsphereError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # the sampler refusing a seed range past 2**64

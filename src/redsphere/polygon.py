@@ -216,9 +216,6 @@ class SphericalPolygon:
     def as_array(self) -> np.ndarray:
         return self._array.copy()
 
-    def perimeter(self) -> float:
-        return self.lengths()[0]
-
     def thickness(self) -> float:
         """Width of the thinnest lune containing the polygon.
 
@@ -231,10 +228,6 @@ class SphericalPolygon:
         """
         heights = np.arcsin(self._side_dots.clip(-1.0, 1.0))
         return float(heights.max(axis=0).min())
-
-    def diameter(self) -> float:
-        """Largest pairwise vertex distance, as lengths() measures it."""
-        return self.lengths()[1]
 
     def lengths(self) -> tuple[float, float, float]:
         """Perimeter, diameter and restricted diameter, from one pair pass.
@@ -582,14 +575,14 @@ def polygon_from_doc(doc: dict) -> SphericalPolygon:
     return SphericalPolygon(rows)
 
 
-def load_polygon(path) -> tuple[SphericalPolygon, dict]:
-    """Read a polygon JSON file; returns (polygon, document)."""
+def load_polygon(path) -> SphericalPolygon:
+    """Read a polygon JSON file; returns the polygon polygon_from_doc builds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise PolygonDocumentError(f"cannot read polygon file {path}: {exc}") from exc
-    return polygon_from_doc(doc), doc
+    return polygon_from_doc(doc)
 
 
 def save_polygon(path, polygon: SphericalPolygon, thickness_hint: Optional[float] = None) -> None:

@@ -260,10 +260,10 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     target thickness, plus two gauge terms pinning the centroid over the
     pole; vertex 0 keeps its initial longitude.  Each trial takes the step
     of _damped_step, whose damping falls tenfold after an accepted trial and
-    rises tenfold after a rejected one.  The iteration stops once the
-    distance residuals drop to max-norm <= _RESIDUAL_TOL.  Failures are
-    reported in-band: converged=False plus a failure_reason, never an
-    exception.
+    rises tenfold after a rejected one.  The loop runs while the distance
+    residuals' max-norm exceeds _RESIDUAL_TOL and no failure is set.
+    Failures are reported in-band as failure_reason, never raised; a solver
+    failure keeps its reason when the polygon fails as well.
     """
     n, w = cfg.n, cfg.thickness
     met = regular_metrics(n, w)
@@ -281,14 +281,13 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     point = _residual(params, n, lon0, w)
     norm = float(np.linalg.norm(point.r))
     history = [float(np.max(np.abs(point.r[:n])))]
-    converged = history[-1] <= _RESIDUAL_TOL
     mu = _DAMPING
-    iterations = 0
-    stall_reason: Optional[str] = None
+    failure: Optional[str] = None
 
-    while not converged and iterations < _MAX_ITERATIONS:
-        iterations += 1
-        improved = False
+    while history[-1] > _RESIDUAL_TOL and failure is None:
+        if len(history) > _MAX_ITERATIONS:
+            failure = "max_iterations reached"
+            continue
         # Only the accepted point's Jacobian is used: trials, rejected or
         # converging, pay for their residual alone.
         J = _jacobian(point)
@@ -303,40 +302,30 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
                 if t_norm < norm:
                     params, point, norm = trial, t_point, t_norm
                     mu = max(mu / 10.0, _MU_FLOOR)
-                    improved = True
                     break
             mu *= 10.0
+        else:
+            failure = "stalled: damping exhausted without improvement"
         history.append(float(np.max(np.abs(point.r[:n]))))
-        if history[-1] <= _RESIDUAL_TOL:
-            converged = True
-            break
-        if not improved:
-            stall_reason = "stalled: damping exhausted without improvement"
-            break
 
-    final_residual = history[-1]
     polygon: Optional[SphericalPolygon] = None
     witness: Optional[ReducedWitness] = None
-    failure: Optional[str] = None if converged else (stall_reason or "max_iterations reached")
     try:
         polygon = SphericalPolygon(point.V)
     except RedsphereError as exc:
-        if converged:
-            converged = False
-            failure = f"degenerate geometry at the solution: {exc}"
+        failure = failure or f"degenerate geometry at the solution: {exc}"
     else:
         witness = reduced_check(polygon, tol=REDUCED_TOL)
-        if converged and not witness.is_reduced:
-            converged = False
-            failure = "constraint violation: " + witness.reason
+        if not witness.is_reduced:
+            failure = failure or "constraint violation: " + witness.reason
     return SampleResult(
         polygon=polygon,
         witness=witness,
-        converged=converged,
-        iterations=iterations,
-        final_residual=final_residual,
+        converged=failure is None,
+        iterations=len(history) - 1,
+        final_residual=history[-1],
         config=cfg,
-        failure_reason=None if converged else failure,
+        failure_reason=failure,
         residual_history=tuple(history),
     )
 

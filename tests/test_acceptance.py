@@ -55,13 +55,13 @@ def test_criterion_02_regular_construction_closes_the_loop():
             assert witness.max_residual < 1e-9
             m = regular_metrics(n, omega)
             assert witness.thickness == pytest.approx(omega, abs=1e-9)
-            assert P.perimeter() == pytest.approx(m.perimeter, abs=1e-9)
+            assert P.lengths()[0] == pytest.approx(m.perimeter, abs=1e-9)
             assert P.circumcap().radius == pytest.approx(m.circumradius, abs=1e-9)
             # Farthest vertex pair sits (n-1)/2 steps apart on the circumcircle.
             R = m.circumradius
             expected = math.acos(
                 math.cos(R) ** 2 - math.sin(R) ** 2 * math.cos(math.pi / n))
-            assert P.diameter() == pytest.approx(expected, abs=1e-9)
+            assert P.lengths()[1] == pytest.approx(expected, abs=1e-9)
 
 
 def test_criterion_03_perimeter_equals_twice_summed_arms(sample_grid):
@@ -97,9 +97,9 @@ def test_criterion_05_sampled_perimeters_never_beat_regular(sample_grid):
             assert len(conv) >= 200, (n, omega, len(conv))
             floor = 2.0 * n * arm_from_angle(math.pi / n, math.tan(omega))
             violations = [
-                s for s in conv if s.polygon.perimeter() < floor - 1e-8]
+                s for s in conv if s.polygon.lengths()[0] < floor - 1e-8]
             assert not violations, (n, omega, len(violations))
-            assert build_regular(n, omega).perimeter() == pytest.approx(
+            assert build_regular(n, omega).lengths()[0] == pytest.approx(
                 floor, abs=1e-9)
     checks = time.perf_counter() - t0
     assert sample_grid.elapsed + checks < 60.0
@@ -113,7 +113,7 @@ def test_criterion_06_diameter_bound_sharp_and_below_coarse(sample_grid):
                 assert s.polygon.lengths()[2] <= bound + 1e-8
     for omega in OMEGA_GRID:
         triangle = build_regular(3, omega)
-        assert triangle.diameter() == pytest.approx(diameter_bound(omega), abs=1e-9)
+        assert triangle.lengths()[1] == pytest.approx(diameter_bound(omega), abs=1e-9)
         assert diameter_bound_coarse(omega) - diameter_bound(omega) > 1e-6
 
 

@@ -83,6 +83,30 @@ class TestArgumentValidation:
         assert message in errors[0]
 
 
+class TestDispatch:
+    COMMANDS = ("regular", "metrics", "verify", "table1", "sample", "lemmas", "suite")
+
+    def test_missing_command_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys)
+        assert code == 2
+        assert "required: command" in err
+
+    def test_unknown_command_is_a_usage_error(self, capsys):
+        code, _, _ = run(capsys, "bogus")
+        assert code == 2
+
+    def test_top_level_help(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert all(command in out for command in self.COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_command_has_help(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: redsphere {command}")
+
+
 class TestRegular:
     def test_triangle_circumradius_matches_table(self, capsys):
         code, out, _ = run(capsys, "regular", "--n", "3", "--thickness", "pi/4")

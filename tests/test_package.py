@@ -1,5 +1,8 @@
 """The package's public namespace."""
 
+import ast
+from pathlib import Path
+
 import redsphere
 
 # Every name the package exports, sorted; the submodules' __all__ lists
@@ -28,3 +31,14 @@ def test_exported_names_are_pinned():
     assert len(PUBLIC_NAMES) == 46
     assert len(set(redsphere.__all__)) == len(redsphere.__all__)
     assert sorted(redsphere.__all__) == PUBLIC_NAMES
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = []
+    for path in sorted(Path(redsphere.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("redsphere")):
+                private += [(path.name, alias.name) for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private

@@ -174,7 +174,8 @@ class TestSampleReduced:
         # This seed converges to a solution whose foot exits its side.
         res = sample_reduced(SamplerConfig(n=7, thickness=math.pi / 3, seed=14))
         assert not res.converged
-        assert "interior" in res.failure_reason
+        assert res.failure_reason == (
+            "constraint violation: projection foot outside the open side interior")
         assert res.witness is not None and not res.witness.is_reduced
 
     def test_witness_is_the_polygons_reduced_check(self):
@@ -194,37 +195,57 @@ class TestSampleReduced:
             assert _alignment_deviation(res.polygon.as_array(), reg) < 1e-6
 
 
+def _not_convex(V):
+    raise NotConvex("forced")
+
+
 class TestFailureReasons:
-    """The solver's in-band failure reasons, forced on a seed that converges."""
+    """The solver's in-band failure reasons, forced on a seed that converges.
+
+    A solver failure keeps its reason when the polygon fails as well.
+    """
 
     CFG = SamplerConfig(n=7, thickness=QUARTER_PI, seed=3)
 
+    def sample(self):
+        res = sample_reduced(self.CFG)
+        assert res.converged == (res.failure_reason is None)
+        assert res.iterations == len(res.residual_history) - 1
+        assert res.final_residual == res.residual_history[-1]
+        return res
+
     def test_damping_ceiling_stalls(self, monkeypatch):
         monkeypatch.setattr(sampler, "_MU_CEIL", 1e-4)
-        res = sample_reduced(self.CFG)
+        res = self.sample()
         assert not res.converged and res.iterations == 1
         assert res.failure_reason == "stalled: damping exhausted without improvement"
         assert res.polygon is not None and res.witness is not None
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(sampler, "_MAX_ITERATIONS", 1)
-        res = sample_reduced(self.CFG)
+        res = self.sample()
         assert not res.converged and res.iterations == 1
         assert res.failure_reason == "max_iterations reached"
         assert res.polygon is not None
+        assert not res.witness.is_reduced
 
     def test_unbuildable_solution_is_degenerate(self, monkeypatch):
-        def not_convex(V):
-            raise NotConvex("forced")
-
-        monkeypatch.setattr(sampler, "SphericalPolygon", not_convex)
-        res = sample_reduced(self.CFG)
+        monkeypatch.setattr(sampler, "SphericalPolygon", _not_convex)
+        res = self.sample()
         assert not res.converged
         assert res.failure_reason == "degenerate geometry at the solution: forced"
         assert res.polygon is None and res.witness is None
         rows = full_suite([res], include_formula_checks=False)
         assert [(r.claim_id, r.passed) for r in rows] == [("sample-rejected", True)]
         assert rows[0].inputs.endswith("reason=degenerate geometry at the solution: forced")
+
+    def test_stall_keeps_its_reason_over_degenerate_geometry(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_MU_CEIL", 1e-4)
+        monkeypatch.setattr(sampler, "SphericalPolygon", _not_convex)
+        res = self.sample()
+        assert not res.converged
+        assert res.failure_reason == "stalled: damping exhausted without improvement"
+        assert res.polygon is None and res.witness is None
 
 
 def _alignment_deviation(V, W):

@@ -1,5 +1,6 @@
 """Claim reports: relations, fault exclusion, serialization."""
 
+import ast
 import json
 import math
 from dataclasses import replace
@@ -29,6 +30,7 @@ from redsphere import (
     TABLE1_REFERENCE,
 )
 from redsphere import polygon as polygon_module
+from redsphere import verify as verify_module
 from redsphere.polygon import REDUCED_TOL
 from redsphere.verify import _report
 
@@ -279,3 +281,15 @@ class TestSerialization:
         b = full_suite([crooked_sample], include_formula_checks=False)
         assert reports_to_json(a) == reports_to_json(b)
         assert reports_to_csv(a) == reports_to_csv(b)
+
+
+class TestClaimIds:
+    def test_docstring_lists_every_reported_id(self):
+        doc = verify_module.__doc__
+        table = doc[doc.index("Claim identifiers (stable strings):"):].splitlines()[1:]
+        listed = [line.split()[0] for line in table if line.strip()]
+        tree = ast.parse(open(verify_module.__file__, encoding="utf-8").read())
+        reported = {node.args[0].value for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_report"}
+        assert len(listed) == len(set(listed)) == 26
+        assert set(listed) == reported
