@@ -50,21 +50,19 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
-def _cross_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (..., m, 3) arrays.
-
-    Bit for bit np.cross, at a third of its fixed cost per call, which
-    dominates on the few rows of a polygon.  The result is C-ordered like
-    np.cross's, since reductions over it round differently in F order.
-    """
-    return np.subtract(A[..., _NEXT] * B[..., _PREV], A[..., _PREV] * B[..., _NEXT], order="C")
-
-
 def cross_plan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Flat indices I with Y[0] * Y[1] - Y[2] * Y[3], Y = X.ravel()[I], the
     rows a x b of an (m, 3) array X, as np.cross computes them."""
     a3, b3 = 3 * a[:, None], 3 * b[:, None]
     return np.stack([a3 + _NEXT, b3 + _PREV, a3 + _PREV, b3 + _NEXT])
+
+
+def _cross(X: np.ndarray, plan: np.ndarray) -> np.ndarray:
+    """The rows of a cross_plan over the rows of X, by one flat gather: bit for
+    bit np.cross, without its fixed cost, and C-ordered like its result, since
+    reductions over it round differently in F order."""
+    Y = X.ravel()[plan]
+    return Y[0] * Y[1] - Y[2] * Y[3]
 
 
 def _norm_rows(A: np.ndarray) -> np.ndarray:
@@ -81,15 +79,17 @@ def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
-def _angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Angles in [0, pi] between the nonzero rows of two (m, 3) arrays.
+def _angles(X: np.ndarray) -> np.ndarray:
+    """Angles in [0, pi] between the nonzero rows X[r, 0] and X[r, 1] of an
+    (m, 2, 3) array.
 
     atan2(|a x b|, a . b) per row, at full precision for short arcs and small
     angles, unlike acos: the geodesic distance of unit rows, or the angle at
-    a vertex between two tangent rows.  Each call has a fixed cost of some
+    a vertex between two tangent rows.  The cross products take one flat
+    gather through _pair_plan(m).  Each call has a fixed cost of some
     microseconds, so callers stack every angle of one computation in one call.
     """
-    return np.arctan2(_norm_rows(_cross_rows(A, B)), _dots(A, B))
+    return np.arctan2(_norm_rows(_cross(X, _pair_plan(len(X)))), _dots(X[:, 0], X[:, 1]))
 
 
 @lru_cache(maxsize=32)
@@ -119,10 +119,48 @@ def _gap_pairs(n: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _pair_plan(m: int) -> np.ndarray:
     """cross_plan of the rows X[r, 0] x X[r, 1] of a raveled (m, 2, 3) array
-    X (read-only).  Cached by m, not by n: circumcap's m is its block's."""
+    X (read-only).  Cached by m, not by n: circumcap's m is its block's, and
+    _angles takes pairs of any count."""
     plan = cross_plan(2 * np.arange(m), 2 * np.arange(m) + 1)
     plan.flags.writeable = False
     return plan
+
+
+@lru_cache(maxsize=32)
+def _plans(n: int) -> dict[str, np.ndarray]:
+    """Index plans of an n-gon (read-only): cross_plan of the side poles
+    v_j x v_k, then those of _measure_reduced's stages on the base arrays
+    named here: row pairs, taken as an (m, 2, 3) array, and cross_plans."""
+    i = np.arange(n)
+    nxt, j, k, _ = _ring_indices(n)
+
+    def pairs(*ends):
+        return np.stack([np.concatenate(ends[0::2]), np.concatenate(ends[1::2])], axis=1)
+
+    def row(block, index=i):
+        return block * n + index
+
+    plans = {
+        "SIDES": cross_plan(j, k),
+        # A, on [V, P]: v . p, v . v_{i+1}; p x v_j.
+        "A_DOTS": pairs(i, row(1), i, nxt),
+        "A_CROSS": cross_plan(row(1), j),
+        # B, on [V, F, S]: v . t, v . v_k, v_k . t, t . S, t . v_j; v x t.
+        "B_DOTS": pairs(i, row(1), i, k, k, row(1), row(1), row(2), row(1), j),
+        "B_CROSS": cross_plan(i, row(1)),
+        # C, on [Q, V]: q_i x q_k, q_i x v_i; then on [O, V, T, F]:
+        # o . v, o . T, o . T_k, o . v_k, o . t_k.
+        "C_CROSS": cross_plan(np.concatenate([i, i]), np.concatenate([k, row(1)])),
+        "C_DOTS": pairs(i, row(1), i, row(2), i, row(2, k), i, row(1, k), i, row(3, k)),
+        # D, on [V, F, Q, -Q, O]: the rows r and v of the tangents r - (v . r) v;
+        # then on [V, F, Q, -Q, O, U] with U those tangents, the angles' pairs.
+        "TANGENTS": pairs(nxt, i, row(1), i, k, i, i, k, row(1), k),
+        "ANGLES": pairs(i, row(1), j, k, row(5), row(6), row(6), row(7), row(2), row(3, k),
+                        row(8), row(9), i, row(1, k), row(1), k, row(4), row(1)),
+    }
+    for a in plans.values():
+        a.flags.writeable = False
+    return plans
 
 
 # Candidate centres that circumcap scores at once.
@@ -183,7 +221,7 @@ class SphericalPolygon:
             raise DomainError(f"need at least 3 vertices, got {len(V)}")
         V = V / norm[:, None]
         n = len(V)
-        nxt, j, k, on_side = _ring_indices(n)
+        nxt, _, _, on_side = _ring_indices(n)
         # Neighbour dots by matmul, which rounds like the 1-D dot product.
         nxt_dots = (V[:, None, :] @ V[nxt, :, None])[:, 0, 0]
         touching = np.flatnonzero(np.abs(nxt_dots) >= 1.0 - SEPARATION_TOL)
@@ -192,7 +230,7 @@ class SphericalPolygon:
             raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
         # Unit poles of the sides (v_j, v_k) opposite each vertex: for every n,
         # even too, the n edges once each.
-        P = _cross_rows(V[j], V[k])
+        P = _cross(V, _plans(n)["SIDES"])
         P /= _norm_rows(P)[:, None]
         dots = V @ P.T  # [vertex, side opposite vertex m]
         if not ((dots > SEPARATION_TOL) | on_side).all():
@@ -232,20 +270,16 @@ class SphericalPolygon:
     def lengths(self) -> tuple[float, float, float]:
         """Perimeter, diameter and restricted diameter, from one pair pass.
 
-        It takes the angles of the pairs of _gap_pairs as _angles does, from
-        one gather of V and, for the cross products, one flat gather.  The
-        perimeter sums the edges, the pairs of gap 1, in order
-        i = 0..n - 1.  The restricted diameter scans the pairs (i, i + (n - 1)/2)
-        of odd n alone: each vertex with one end of its opposite side, since
-        (i, i + (n + 1)/2) is the pair (m, m + (n - 1)/2) of m = i + (n + 1)/2.
-        Reduced polygons attain their diameter there.  For even n it is the
-        diameter.
+        It takes the angles of the pairs of _gap_pairs from one gather of V
+        and one _angles call.  The perimeter sums the edges, the pairs of gap
+        1, in order i = 0..n - 1.  The restricted diameter scans the pairs
+        (i, i + (n - 1)/2) of odd n alone: each vertex with one end of its
+        opposite side, since (i, i + (n + 1)/2) is the pair (m, m + (n - 1)/2)
+        of m = i + (n + 1)/2.  Reduced polygons attain their diameter there.
+        For even n it is the diameter.
         """
-        n, V = self.n, self._array
-        X = V.take(_gap_pairs(n), axis=0)
-        Y = X.ravel()[_pair_plan(len(X))]
-        d = np.arctan2(_norm_rows(Y[0] * Y[1] - Y[2] * Y[3]), _dots(X[:, 0], X[:, 1]))
-        d = d.reshape(-1, n)  # [gap - 1, vertex]
+        n = self.n
+        d = _angles(self._array.take(_gap_pairs(n), axis=0)).reshape(-1, n)  # [gap - 1, vertex]
         diameter = float(d.max())
         return float(np.add.reduce(d[0])), diameter, (float(d[-1].max()) if n % 2 else diameter)
 
@@ -375,14 +409,6 @@ def _degenerate(d: np.ndarray) -> bool:
     return bool((np.abs(d) >= 1.0 - SEPARATION_TOL).any())
 
 
-def _arc_parameter(X: np.ndarray, A: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Signed arc length from a to x along the great circle leaving a in direction t.
-
-    Rows of X lie on the circle; A and T are orthonormal rows.
-    """
-    return np.arctan2(_dots(X, T), _dots(X, A))
-
-
 def reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL) -> ReducedWitness:
     """Decide reducedness and collect the per-vertex witness data.
 
@@ -416,8 +442,17 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     tested.  A point x at signed parameter s on the great circle of an arc
     (a, b) of length D has d(a, x) + d(x, b) - D equal to
     2 max(-s, s - D, 0), so a slack of ON_ARC_TOL on that arc-length sum
-    allows s in [-ON_ARC_TOL/2, D + ON_ARC_TOL/2].  Every angle and arc comes
-    from one stacked _angles call.
+    allows s in [-ON_ARC_TOL/2, D + ON_ARC_TOL/2].
+
+    Four stages each gather from one base array, through _plans, their dots
+    (one take of row pairs, one einsum) and cross products (one flat gather).
+    A: the heights v . p, v . v_{i+1} and S = p x v_j, the side's tangent at
+    v_j.  B: v . t, v . v_k, v_k . t, t . S, t . v_j and the spoke poles
+    v x t.  C: q_i x q_k, T = q_i x v_i, the spoke's tangent at v_i, and the
+    crossing's dots with v, T, T_k, v_k and t_k, which its sign flip negates
+    exactly.  D: the tangents r - (v . r) v at v_i and v_k by one
+    subtraction, every angle by one _angles call and the arc parameters of
+    t_i from v_j and of o_i from v_i and v_k by one arctan2.
 
     A polygon it cannot measure fails in-band: a vertex at the pole of its
     side, a foot on or opposite its vertex, or, for a polygon that passes
@@ -429,60 +464,60 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
         return _failed(polygon, math.nan, f"not an odd-gon: n={n}")
 
     V, P = polygon._array, polygon._poles
-    _, j, k, _ = _ring_indices(n)
-    # An einsum, not the diagonal of _side_dots, which can round differently.
-    h = _dots(V, P)
+    plans = _plans(n)
+    k = _ring_indices(n)[2]
+    # Heights by an einsum, not the diagonal of _side_dots, which can round differently.
+    W = np.concatenate([V, P])
+    X = W.take(plans["A_DOTS"], axis=0)
+    h, v_next = _dots(X[:, 0], X[:, 1]).reshape(2, n)
     if _degenerate(h):
         return _failed(polygon, math.inf, "point coincides with a circle pole")
+    S = _cross(W, plans["A_CROSS"])
     F = V - h[:, None] * P
     F /= _norm_rows(F)[:, None]
-    Vk, Fk = V[k], F[k]
-    vf = _dots(V, F)
-    vk = _dots(V, Vk)
-    if _degenerate(vf) or _degenerate(vk):
-        return _failed(polygon, math.inf, _NO_ANGLE)
-    kf = _dots(Vk, F)
 
-    # Spoke poles q_i and the unit tangent at v_j along its side.
-    X = _cross_rows(np.concatenate([V, P]), np.concatenate([F, V[j]]))
-    Q = X[:n] / _norm_rows(X[:n])[:, None]
-    S = X[n:]
-    # Crossing directions q_i x q_k, and the unit tangent at v_i along its spoke.
-    Y = _cross_rows(np.concatenate([Q, Q]), np.concatenate([Q[k], V]))
+    W = np.concatenate([V, F, S])
+    X = W.take(plans["B_DOTS"], axis=0)
+    d = _dots(X[:, 0], X[:, 1])
+    vf, vk, kf, fs, fj = d.reshape(5, n)
+    if _degenerate(d[:2 * n]):
+        return _failed(polygon, math.inf, _NO_ANGLE)
+    Q = _cross(W, plans["B_CROSS"])
+    Q /= _norm_rows(Q)[:, None]
+
+    Y = _cross(np.concatenate([Q, V]), plans["C_CROSS"])
     C, T = Y[:n], Y[n:]
     c_norm = _norm_rows(C)
     crosses = c_norm >= SEPARATION_TOL
     O = C / np.where(crosses, c_norm, 1.0)[:, None]
-    O[_dots(O, V) < 0.0] *= -1.0
+    X = np.concatenate([O, V, T, F]).take(plans["C_DOTS"], axis=0)
+    od = _dots(X[:, 0], X[:, 1]).reshape(5, n)
+    sign = np.where(od[0] < 0.0, -1.0, 1.0)
+    O *= sign[:, None]
+    od *= sign
+    ov, ot, ot_k, ov_k, of_k = od
 
-    # Tangents r - (v . r) v at v_i toward v_{i+1}, t_i and v_k and at v_k
-    # toward v_i and t_i, whose _angles are the angles there.  The vertical angle
-    # at a crossing, between its rays toward v_i and t_k, is the angle between
-    # q_i and -q_k for either sign.
-    nxt = V[_ring_indices(n)[0]]
-    t_next = nxt - _dots(V, nxt)[:, None] * V
-    t_foot = F - vf[:, None] * V
-    t_far = Vk - vk[:, None] * V
-    u_near = V - vk[:, None] * Vk
-    u_foot = F - kf[:, None] * Vk
-    ang = _angles(np.concatenate([V, V[j], t_next, t_foot, Q, u_near, V, F, O]),
-                  np.concatenate([F, Vk, t_foot, t_far, -Q[k], u_foot, Fk, Vk, F]))
+    # Tangents at v_i toward v_{i+1}, t_i and v_k and at v_k toward v_i and
+    # t_i.  The vertical angle at a crossing, between its rays toward v_i and
+    # t_k, is the angle between q_i and -q_k for either sign.
+    W = np.concatenate([V, F, Q, -Q, O])
+    X = W.take(plans["TANGENTS"], axis=0)
+    U = X[:, 0] - np.concatenate([v_next, vf, vk, vk, kf])[:, None] * X[:, 1]
+    ang = _angles(np.concatenate([W, U]).take(plans["ANGLES"], axis=0))
     dist, side, alpha, beta, phi, far, near_arc, far_arc, o_foot = ang.reshape(9, n)
-
-    theta = _arc_parameter(F, V[j], S)
+    theta, s_i, s_k = np.arctan2(np.concatenate([fs, ot, ot_k]),
+                                 np.concatenate([fj, ov, ov_k])).reshape(3, n)
     interior = (EDGE_EPS * side < theta) & (theta < (1.0 - EDGE_EPS) * side)
 
     slack = 0.5 * ON_ARC_TOL
-    s_i = _arc_parameter(O, V, T)
-    s_k = _arc_parameter(O, Vk, T[k])
     crosses &= ((-slack <= s_i) & (s_i <= dist + slack)
                 & (-slack <= s_k) & (s_k <= dist[k] + slack))
     # A crossing on v_i or t_k leaves a zero tangent, so no vertical angle.
-    crosses &= (np.abs(_dots(O, V)) < 1.0 - SEPARATION_TOL) & (
-        np.abs(_dots(O, Fk)) < 1.0 - SEPARATION_TOL)
+    crosses &= (np.abs(ov) < 1.0 - SEPARATION_TOL) & (np.abs(of_k) < 1.0 - SEPARATION_TOL)
     phi = np.where(crosses, phi, math.nan)
     # A foot t_i on v_k leaves a zero tangent, so no angle at v_k.
-    far = np.where(np.abs(kf) < 1.0 - SEPARATION_TOL, far, math.nan)
+    far_defined = np.abs(kf) < 1.0 - SEPARATION_TOL
+    far = np.where(far_defined, far, math.nan)
     o_foot = np.where(crosses, o_foot, math.nan)
     O[~crosses] = math.nan
     F.flags.writeable = O.flags.writeable = False
@@ -493,7 +528,7 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
         reason = "projection foot outside the open side interior"
     elif spread > tol:
         reason = f"distance spread {spread:.3e} exceeds tolerance {tol:.1e}"
-    elif _degenerate(kf):
+    elif not far_defined.all():
         # The claims read the far angles of every polygon that passes.
         reason, spread = _NO_ANGLE, math.inf
     else:

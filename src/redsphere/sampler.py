@@ -279,8 +279,9 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     params = np.concatenate([colat, lon[1:]])
 
     point = _residual(params, n, lon0, w)
-    norm = float(np.linalg.norm(point.r))
-    history = [float(np.max(np.abs(point.r[:n])))]
+    # np.linalg.norm's formula for a vector, and the distance residuals' max-norm.
+    norm = math.sqrt(point.r.dot(point.r))
+    history = [float(abs(point.r[:n]).max())]
     mu = _DAMPING
     failure: Optional[str] = None
 
@@ -295,10 +296,11 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
             step = _damped_step(J, point.r, mu)
             trial = params + step
             t_colat = trial[:n]
-            # False on a NaN colatitude, as the trial must be rejected then.
-            if (t_colat > 1e-6).all() and (t_colat < math.pi - 1e-6).all():
+            # False on a NaN colatitude, which min and max propagate, as the
+            # trial must be rejected then.
+            if 1e-6 < t_colat.min() and t_colat.max() < math.pi - 1e-6:
                 t_point = _residual(trial, n, lon0, w)
-                t_norm = float(np.linalg.norm(t_point.r))
+                t_norm = math.sqrt(t_point.r.dot(t_point.r))
                 if t_norm < norm:
                     params, point, norm = trial, t_point, t_norm
                     mu = max(mu / 10.0, _MU_FLOOR)
@@ -306,7 +308,7 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
             mu *= 10.0
         else:
             failure = "stalled: damping exhausted without improvement"
-        history.append(float(np.max(np.abs(point.r[:n]))))
+        history.append(float(abs(point.r[:n]).max()))
 
     polygon: Optional[SphericalPolygon] = None
     witness: Optional[ReducedWitness] = None

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import GRID_N, GRID_OMEGA
 from test_sampler import _alignment_deviation
-from test_sphere_core import SpherePoint, distance, tangent_rows
+from test_sphere_core import SpherePoint, distance, row_angles, tangent_rows
 
 from redsphere import (
     OMEGA_GRID,
@@ -32,7 +32,6 @@ from redsphere import (
     sample_reduced,
     table1_reports,
 )
-from redsphere.polygon import _angles
 
 NS_CLOSED_FORM = (3, 5, 7, 9, 21)
 
@@ -188,9 +187,9 @@ def _measured_right_triangles(a, b):
     vert_b = np.stack([np.sin(a), np.zeros_like(a), np.cos(a)], axis=1)
     vert_a = np.stack([np.zeros_like(b), np.sin(b), np.cos(b)], axis=1)
     verts = np.concatenate([vert_a, vert_b])
-    c = _angles(vert_a, vert_b)
-    ang_a, ang_b = _angles(tangent_rows(verts, np.concatenate([pole, pole])),
-                           tangent_rows(verts, np.concatenate([vert_b, vert_a]))).reshape(2, -1)
+    c = row_angles(vert_a, vert_b)
+    ang_a, ang_b = row_angles(tangent_rows(verts, np.concatenate([pole, pole])),
+                              tangent_rows(verts, np.concatenate([vert_b, vert_a]))).reshape(2, -1)
     return c, ang_a, ang_b
 
 
@@ -221,8 +220,8 @@ def test_criterion_11_kernel_identities():
         V = np.array([_random_unit(rng) for _ in range(3)])
         # Per vertex u, v, w: the side opposite it, and the angle there.
         nxt, prv = V[[1, 2, 0]], V[[2, 0, 1]]
-        sides, angles = _angles(np.concatenate([nxt, tangent_rows(V, nxt)]),
-                                np.concatenate([prv, tangent_rows(V, prv)])).reshape(2, 3)
+        sides, angles = row_angles(np.concatenate([nxt, tangent_rows(V, nxt)]),
+                                   np.concatenate([prv, tangent_rows(V, prv)])).reshape(2, 3)
         if min(sides) < 0.05 or max(sides) > math.pi - 0.05:
             continue
         products = np.sin(angles) / np.sin(sides)

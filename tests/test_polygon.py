@@ -24,6 +24,7 @@ from test_sphere_core import (
     arc_intersection,
     distance,
     project_to_circle,
+    row_angles,
 )
 
 from redsphere import (
@@ -53,7 +54,6 @@ from redsphere.polygon import (
     _CAP_BLOCK,
     EDGE_EPS,
     REDUCED_TOL,
-    _angles,
     _index_combinations,
     _ring_indices,
 )
@@ -504,6 +504,15 @@ class TestReducedCheck:
             reduced_check(P)
         assert list(P._witnesses) == [REDUCED_TOL]
 
+    def test_fresh_check_takes_four_einsums(self, monkeypatch, crooked_heptagon):
+        # One per stage of _measure_reduced, the last in _angles.
+        calls = []
+        dots = polygon_module._dots
+        monkeypatch.setattr(polygon_module, "_dots", lambda A, B: calls.append(len(A)) or dots(A, B))
+        w = reduced_check(SphericalPolygon(crooked_heptagon.as_array()))
+        assert w.is_reduced
+        assert len(calls) <= 4
+
     def test_witness_thickness_matches_polygon_thickness(self, crooked_heptagon):
         w = reduced_check(crooked_heptagon)
         assert crooked_heptagon.thickness() == pytest.approx(w.thickness, abs=1e-9)
@@ -741,14 +750,14 @@ class TestDiameter:
 
 
 def separate_lengths(P):
-    """Perimeter, diameter and restricted diameter from three _angles calls,
+    """Perimeter, diameter and restricted diameter from three row_angles calls,
     the oracle of the one pair pass of lengths()."""
     V = P.as_array()
     nxt, j, _, _ = _ring_indices(P.n)
     a, b = _index_combinations(P.n, 2).T
-    diameter = float(np.max(_angles(V[a], V[b])))
-    restricted = float(np.max(_angles(V, V[j]))) if P.n % 2 else diameter
-    return float(np.sum(_angles(V, V[nxt]))), diameter, restricted
+    diameter = float(np.max(row_angles(V[a], V[b])))
+    restricted = float(np.max(row_angles(V, V[j]))) if P.n % 2 else diameter
+    return float(np.sum(row_angles(V, V[nxt]))), diameter, restricted
 
 
 def fresh_poles(V):

@@ -391,6 +391,23 @@ class TestStackedJacobian:
         assert calls["jacobian"] == res.iterations
         assert calls["residual"] == calls["steps"]
 
+    def test_trial_with_a_nan_colatitude_is_not_evaluated(self, monkeypatch):
+        # One NaN among finite colatitudes: the band test must not skip it.
+        calls = _count_kernel_calls(monkeypatch)
+        step = sampler._damped_step
+
+        def first_to_nan(J, r, mu):
+            d = step(J, r, mu)
+            if calls["steps"] == 1:
+                d[3] = math.nan
+            return d
+
+        monkeypatch.setattr(sampler, "_damped_step", first_to_nan)
+        res = sample_reduced(SamplerConfig(n=7, thickness=QUARTER_PI, seed=3))
+        assert res.converged
+        assert calls["jacobian"] == res.iterations
+        assert calls["residual"] == calls["steps"]
+
 
 def _count_kernel_calls(monkeypatch):
     """Counts of sampler._residual, _jacobian and _damped_step calls, patched in."""

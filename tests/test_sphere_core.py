@@ -92,10 +92,15 @@ def angle_at(vertex: SpherePoint, p: SpherePoint, q: SpherePoint) -> float:
     return _angle(*tangents[0], *tangents[1])
 
 
+def row_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The library's _angles of the row pairs (a, b) of two (m, 3) arrays."""
+    return _angles(np.stack([A, B], axis=1))
+
+
 def tangent_rows(V: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Rows r - (v . r) v: the tangents at the unit rows v toward the rows r.
 
-    _angles of two tangent rows at one vertex is the angle there.
+    row_angles of two tangent rows at one vertex is the angle there.
     """
     return R - np.einsum("ij,ij->i", V, R)[:, None] * V
 
@@ -265,17 +270,17 @@ class TestDistance:
     """Geodesic distances as the library takes them: _angles of unit rows."""
 
     def test_identity(self):
-        assert _angles(_rows(EZ), _rows(EZ))[0] == 0.0
+        assert row_angles(_rows(EZ), _rows(EZ))[0] == 0.0
 
     def test_antipodes(self):
-        assert _angles(_rows(EZ), -_rows(EZ))[0] == pytest.approx(math.pi)
+        assert row_angles(_rows(EZ), -_rows(EZ))[0] == pytest.approx(math.pi)
 
     def test_orthogonal(self):
-        assert _angles(_rows(EX), _rows(EY))[0] == pytest.approx(0.5 * math.pi)
+        assert row_angles(_rows(EX), _rows(EY))[0] == pytest.approx(0.5 * math.pi)
 
     @given(p=sphere_points(), q=sphere_points())
     def test_symmetry(self, p, q):
-        d_pq, d_qp = _angles(_rows(p, q), _rows(q, p))
+        d_pq, d_qp = row_angles(_rows(p, q), _rows(q, p))
         assert d_pq == d_qp
 
     @given(p=sphere_points(), q=sphere_points(), r=sphere_points())
@@ -284,7 +289,7 @@ class TestDistance:
         # beyond the 1e-12 budget without changing the geometry.
         for u, v in ((p, q), (q, r), (p, r)):
             assume(abs(u.dot(v)) <= 1.0 - 1e-6)
-        d_pq, d_qr, d_pr = _angles(_rows(p, q, p), _rows(q, r, r))
+        d_pq, d_qr, d_pr = row_angles(_rows(p, q, p), _rows(q, r, r))
         assert d_pr <= d_pq + d_qr + 1e-12
 
 
@@ -334,7 +339,7 @@ class TestProjection:
         assume(abs(p.dot(pole)) < 1.0 - 1e-6)
         circle = GreatCircle(pole)
         t = project_to_circle(p, circle)
-        to_pole, to_foot = _angles(_rows(p, p), _rows(circle.pole, t))
+        to_pole, to_foot = row_angles(_rows(p, p), _rows(circle.pole, t))
         assert abs(abs(0.5 * math.pi - to_pole) - to_foot) < 1e-10
 
     def test_circle_distance_trivials(self):
@@ -414,7 +419,7 @@ class TestAngleAt:
         p = _march(EZ, EX, 0.5)
         q = _march(EZ, SpherePoint(1.0, math.tan(1e-8), 0.0), 0.5)
         T = tangent_rows(_rows(EZ, EZ), _rows(p, q))
-        assert abs(_angles(T[:1], T[1:])[0] - 1e-8) < 1e-15
+        assert abs(row_angles(T[:1], T[1:])[0] - 1e-8) < 1e-15
 
     def test_sine_rule_on_random_triangles(self):
         rng = np.random.default_rng(424242)
@@ -427,7 +432,7 @@ class TestAngleAt:
             # Per vertex: the side opposite it, and the angle there.
             V = _rows(p, q, r)
             nxt, prv = V[[1, 2, 0]], V[[2, 0, 1]]
-            sides, angles = _angles(
+            sides, angles = row_angles(
                 np.concatenate([nxt, tangent_rows(V, nxt)]),
                 np.concatenate([prv, tangent_rows(V, prv)])).reshape(2, 3)
             if angles.min() < 0.05:
@@ -446,8 +451,8 @@ class TestOraclesMatchKernel:
         points = [SpherePoint.from_vec(v) for v in rng.standard_normal((60_000, 3))]
         verts, ps, qs = points[0::3], points[1::3], points[2::3]
         V, P, Q = _rows(*verts), _rows(*ps), _rows(*qs)
-        dist = _angles(V, P)
-        ang = _angles(tangent_rows(V, P), tangent_rows(V, Q))
+        dist = row_angles(V, P)
+        ang = row_angles(tangent_rows(V, P), tangent_rows(V, Q))
         want_dist = [distance(v, p) for v, p in zip(verts, ps)]
         want_ang = [angle_at(v, p, q) for v, p, q in zip(verts, ps, qs)]
         assert np.max(np.abs(dist - want_dist)) < 1e-13
