@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -128,13 +129,15 @@ class RegularMetrics:
             raise DomainError("inradius + circumradius must equal the thickness")
 
 
+@lru_cache(maxsize=32, typed=True)
 def regular_metrics(n: int, thickness: float) -> RegularMetrics:
     """Side, perimeter, inradius and circumradius of the regular reduced n-gon.
 
     n must be an odd integer >= 3.  The crossing angle of the regular
     polygon is phi = pi/n; its spoke parameter y = crossing_angle_inv(phi)
     yields side = 2*arm_length(y), inradius = arctan(y), and
-    circumradius = arctan((lam - y) / (1 + lam*y)).
+    circumradius = arctan((lam - y) / (1 + lam*y)).  Cached, typed, so that
+    n=5.0 and n=True still raise; the frozen result is shared by callers.
     """
     if not (isinstance(n, int) and n >= 3 and n % 2 == 1):
         raise DomainError(f"n={n!r} must be an odd integer >= 3")

@@ -300,7 +300,8 @@ class SphericalPolygon:
         gathers V once for its pairs and once for its triples, and its cross
         products by one flat gather; short rows are masked, not dropped.
         Norms are (1x3)@(3x1) matmuls and cover dots the batched gemv V @ c,
-        as the tests' loop oracle takes them, so the cap is bit for bit its.
+        as the tests' loop oracle takes them, so the cap is bit for bit its;
+        the filter's radius, the anchor's cover entry, may differ from the oracle's in last bits.
         """
         n = self.n
         if n > 99:
@@ -318,11 +319,11 @@ class SphericalPolygon:
             norm = np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
             keep = norm >= SEPARATION_TOL
             C = R / np.where(keep, norm, 1.0)[:, None]
-            anchor = np.concatenate([P[:, 0], T[:, 0]])
-            radius = np.arccos((C[:, None, :] @ anchor[:, :, None])[:, 0, 0].clip(-1.0, 1.0))
             # [vertex, candidate]: the max over a short last axis is slow.
             D = np.maximum((V @ C[:, :, None])[..., 0].T, -1.0, order="C")
-            cover = np.arccos(np.minimum(D, 1.0)).max(axis=0)
+            A = np.arccos(np.minimum(D, 1.0))
+            cover = A.max(axis=0)
+            radius = A[np.concatenate([pairs[:, 0], triples[:, 0]]), np.arange(len(C))]
             ok = np.flatnonzero(keep & (radius <= 0.5 * math.pi + slack) & (cover <= radius + slack))
             if ok.size:
                 m = ok[np.argmin(cover[ok])]

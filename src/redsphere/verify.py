@@ -1,8 +1,8 @@
 """Numeric verification of the extremal claims about reduced polygons.
 
-Each check returns a VerificationReport, written out as the seven columns
-of _COLUMNS; full_suite strings the formula checks and the per-sample checks
-together.  The residual is `measured - bound` throughout.
+Each check returns a VerificationReport, a named tuple written out as
+its seven _fields; full_suite strings the formula checks and the per-sample
+checks together.  The residual is `measured - bound` throughout.
 
 Claim identifiers (stable strings):
     table1                       covering radius vs six-decimal reference
@@ -39,9 +39,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,9 +94,6 @@ TOL_TABLE = 1e-5
 REGULAR_PHI_SPREAD = 1e-6
 
 
-# The seven columns of a report row, in output order (JSON keys, CSV header).
-_COLUMNS = ("claim_id", "inputs", "measured", "bound", "residual", "passed", "tolerance")
-
 # passed per relation; NaN compares false, so a NaN residual fails them all.
 _RELATIONS = {
     "ge": lambda residual, tol: residual >= -tol,
@@ -108,8 +104,8 @@ _RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+# A claim row; _fields are its seven columns in output order (JSON keys, CSV header).
+class VerificationReport(NamedTuple):
     claim_id: str
     inputs: str
     measured: float
@@ -119,7 +115,7 @@ class VerificationReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _COLUMNS}
+        return self._asdict()
 
 
 def _report(claim_id: str, inputs: str, measured: float, bound: float,
@@ -336,7 +332,7 @@ def full_suite(samples: Sequence[SampleResult],
 
 
 def summarize(reports: Iterable[VerificationReport]) -> dict[str, dict]:
-    """Per-claim counts and worst residuals, keyed by claim id."""
+    """Per-claim counts and residual range (NaN if no residual is a number), by claim id."""
     out: dict[str, dict] = {}
     for r in reports:
         s = out.setdefault(r.claim_id, {
@@ -348,6 +344,9 @@ def summarize(reports: Iterable[VerificationReport]) -> dict[str, dict]:
         if not math.isnan(r.residual):
             s["min_residual"] = min(s["min_residual"], r.residual)
             s["max_residual"] = max(s["max_residual"], r.residual)
+    for s in out.values():
+        if s["min_residual"] > s["max_residual"]:
+            s["min_residual"] = s["max_residual"] = math.nan
     return out
 
 
@@ -372,8 +371,7 @@ def reports_to_json(reports: Sequence[VerificationReport]) -> str:
 def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_COLUMNS)
+    writer.writerow(VerificationReport._fields)
     for r in reports:
-        writer.writerow([repr(v) if isinstance(v, float) else v
-                         for v in r.to_dict().values()])
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in r])
     return buf.getvalue()

@@ -180,6 +180,18 @@ class TestRegularMetrics:
         with pytest.raises(DomainError):
             regular_metrics(1, QUARTER_PI)
 
+    def test_repeat_call_shares_the_frozen_result(self):
+        assert regular_metrics(7, QUARTER_PI) is regular_metrics(7, QUARTER_PI)
+
+    @pytest.mark.parametrize("n, thickness", [(5.0, QUARTER_PI), (True, QUARTER_PI),
+                                              (4, QUARTER_PI), (5, 0.5 * math.pi)])
+    def test_invalid_arguments_raise_on_every_call(self, n, thickness):
+        # The valid call first: an untyped cache would answer n=5.0 from its entry.
+        regular_metrics(5, QUARTER_PI)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                regular_metrics(n, thickness)
+
     def test_metrics_bundle_validated(self):
         m = regular_metrics(5, QUARTER_PI)
         assert isinstance(m, RegularMetrics)

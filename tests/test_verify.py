@@ -1,6 +1,8 @@
 """Claim reports: relations, fault exclusion, serialization."""
 
 import ast
+import csv
+import io
 import json
 import math
 from dataclasses import replace
@@ -28,6 +30,7 @@ from redsphere import (
     x_limit,
     OMEGA_GRID,
     TABLE1_REFERENCE,
+    VerificationReport,
 )
 from redsphere import polygon as polygon_module
 from redsphere import verify as verify_module
@@ -35,6 +38,8 @@ from redsphere.polygon import REDUCED_TOL
 from redsphere.verify import _report
 
 QUARTER_PI = 0.25 * math.pi
+# The report columns in output order, as the README's contract names them.
+COLUMNS = ("claim_id", "inputs", "measured", "bound", "residual", "passed", "tolerance")
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +181,14 @@ class TestPolygonReports:
         for _ in range(2):
             polygon_reports(P, s.witness, QUARTER_PI, "again")
         assert rows == [21, 21]
+        # And one fresh cap per call: verify-batch repeats its polygons.
+        caps = []
+        circumcap = SphericalPolygon.circumcap
+        monkeypatch.setattr(SphericalPolygon, "circumcap",
+                            lambda self: caps.append(self) or circumcap(self))
+        for _ in range(2):
+            polygon_reports(P, s.witness, QUARTER_PI, "again")
+        assert caps == [P, P]
 
     def test_formula_domain_errors_fail_their_rows(self):
         P = pulled_regular(5, QUARTER_PI)
@@ -206,6 +219,12 @@ class TestPolygonReports:
         assert not [r.claim_id for r in reports if r.claim_id.startswith("crossing-angle-sum")
                     or r.claim_id in ("crossing-angles-regular", "perimeter-witness-identity",
                                       "perimeter-jensen")]
+
+
+def _missing_crossing_reports(sample):
+    """polygon_reports of the sample with its first crossing angle NaN."""
+    witness = replace(sample.witness, crossing_angles=(math.nan,) + sample.witness.crossing_angles[1:])
+    return polygon_reports(sample.polygon, witness, QUARTER_PI, "bent")
 
 
 class TestFullSuite:
@@ -246,6 +265,68 @@ class TestFullSuite:
         assert stats["reduced-check"]["count"] == 1
         assert stats["reduced-check"]["failed"] == 0
         assert stats["perimeter-min"]["passed"] == 1
+
+    def test_summary_of_only_nan_residuals_is_a_nan_range(self, crooked_sample):
+        missing = _missing_crossing_reports(crooked_sample)
+        full = full_suite([crooked_sample], include_formula_checks=False)
+        stats = summarize(missing)["crossing-angle-range"]
+        assert (stats["count"], stats["failed"]) == (1, 1)
+        assert math.isnan(stats["min_residual"]) and math.isnan(stats["max_residual"])
+        # One finite residual among them keeps it as both ends of the range.
+        finite = [r for r in full if r.claim_id == "crossing-angle-range"]
+        stats = summarize(missing + finite)["crossing-angle-range"]
+        assert stats["min_residual"] == stats["max_residual"] == finite[0].residual
+        # Claims with finite residuals keep their min and max.
+        diam = [r.residual for r in full if r.claim_id == "diameter-bound"]
+        assert summarize(full)["diameter-bound"]["min_residual"] == min(diam)
+
+
+def _contract_rows(crooked_sample, rejected_sample):
+    """Formula rows, a converged sample's, a rejected sample's and NaN rows."""
+    return (full_suite([crooked_sample, rejected_sample])
+            + _missing_crossing_reports(crooked_sample))
+
+
+def _oracle_json(reports):
+    def cell(v):
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps([{c: cell(getattr(r, c)) for c in COLUMNS} for r in reports],
+                      indent=1, allow_nan=False)
+
+
+def _oracle_csv(reports):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for r in reports:
+        writer.writerow([repr(v) if isinstance(v, float) else v
+                         for v in (getattr(r, c) for c in COLUMNS)])
+    return buf.getvalue()
+
+
+class TestRowContract:
+    def test_rows_are_immutable(self, crooked_sample, rejected_sample):
+        reports = _contract_rows(crooked_sample, rejected_sample)
+        assert {"sample-rejected", "reduced-check", "table1", "perimeter-min"} <= {
+            r.claim_id for r in reports}
+        for r in reports:
+            for name in COLUMNS:
+                with pytest.raises(AttributeError):
+                    setattr(r, name, getattr(r, name))
+            assert repr(r) == "VerificationReport(" + ", ".join(
+                f"{name}={getattr(r, name)!r}" for name in COLUMNS) + ")"
+
+    def test_fields_are_the_seven_columns(self, crooked_sample, rejected_sample):
+        assert VerificationReport._fields == COLUMNS
+        for r in _contract_rows(crooked_sample, rejected_sample):
+            assert r == tuple(getattr(r, name) for name in COLUMNS)
+            assert r.to_dict() == {name: getattr(r, name) for name in COLUMNS}
+
+    def test_serializers_match_the_column_oracle(self, crooked_sample, rejected_sample):
+        reports = _contract_rows(crooked_sample, rejected_sample)
+        assert reports_to_json(reports) == _oracle_json(reports)
+        assert reports_to_csv(reports) == _oracle_csv(reports)
+        assert "null" in reports_to_json(reports) and "nan" in reports_to_csv(reports)
 
 
 class TestSerialization:
