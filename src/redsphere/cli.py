@@ -4,8 +4,6 @@ Exit codes: 0 all requested claims hold, 1 a claim failed, 2 usage error,
 3 unreadable or structurally invalid input file.  Stdout carries values
 rounded to 9 significant digits; files written via --out/--report keep
 full precision.  JSON output is strict: a NaN or infinite value is null.
-Past 99 vertices circumcap has no radius: metrics prints null for it, and
-verify fails the two claims that read it.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from .sampler import SamplerConfig, sample_batch
 from .verify import (
     LAMBDA_GRID,
     OMEGA_GRID,
-    cap_radius,
     full_suite,
     polygon_reports,
     reports_to_csv,
@@ -195,7 +192,7 @@ def _cmd_metrics(args) -> int:
         "thickness": _fmt9(witness.thickness),
         "perimeter": _fmt9(perimeter),
         "diameter": _fmt9(diameter),
-        "circumcap_radius": _fmt9(cap_radius(P)),
+        "circumcap_radius": _fmt9(P.circumcap().radius),
         "is_reduced": witness.is_reduced,
         "max_residual": _fmt9(witness.max_residual),
     })

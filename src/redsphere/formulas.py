@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .errors import DomainError
 
@@ -28,6 +29,7 @@ __all__ = [
     "x_limit",
     "regular_triangle_half_angle",
     "arm_length",
+    "arm_lengths",
     "crossing_angle",
     "crossing_angle_inv",
     "arm_from_angle",
@@ -73,9 +75,20 @@ def arm_length(x: float, lam: float) -> float:
     Defined for x in [0, x_limit(lam)); equals the thickness at x = 0 and
     falls to 0 at the excluded right endpoint.
     """
-    if not 0.0 <= x < x_limit(lam):
-        raise DomainError(f"x={x!r} outside [0, x_limit={x_limit(lam)!r})")
-    return math.acos(_clamp((1.0 + lam * x) / math.sqrt(1.0 + lam * lam)))
+    return arm_lengths((x,), lam)[0]
+
+
+def arm_lengths(xs: Iterable[float], lam: float) -> list[float]:
+    """arm_length of every x of xs at one lam, with x_limit(lam) and
+    sqrt(1 + lam^2) computed once; raises DomainError as arm_length does."""
+    limit = x_limit(lam)
+    root = math.sqrt(1.0 + lam * lam)
+    out = []
+    for x in xs:
+        if not 0.0 <= x < limit:
+            raise DomainError(f"x={x!r} outside [0, x_limit={limit!r})")
+        out.append(math.acos(_clamp((1.0 + lam * x) / root)))
+    return out
 
 
 def crossing_angle(x: float, lam: float) -> float:
@@ -108,7 +121,7 @@ def arm_from_angle(phi: float, lam: float) -> float:
 
     arm_length(crossing_angle_inv(phi)); increasing and convex on (0, pi/2).
     """
-    return arm_length(crossing_angle_inv(phi, lam), lam)
+    return arm_lengths((crossing_angle_inv(phi, lam),), lam)[0]
 
 
 @dataclass(frozen=True)

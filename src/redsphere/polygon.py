@@ -119,7 +119,7 @@ def _gap_pairs(n: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _pair_plan(m: int) -> np.ndarray:
     """cross_plan of the rows X[r, 0] x X[r, 1] of a raveled (m, 2, 3) array
-    X (read-only).  Cached by m, not by n: circumcap's m is its block's, and
+    X (read-only).  Cached by m, not by n: _least_cover's m is its block's, and
     _angles takes pairs of any count."""
     plan = cross_plan(2 * np.arange(m), 2 * np.arange(m) + 1)
     plan.flags.writeable = False
@@ -163,8 +163,176 @@ def _plans(n: int) -> dict[str, np.ndarray]:
     return plans
 
 
-# Candidate centres that circumcap scores at once.
+# A pair or triple cap through a vertex outside circumcap's active set
+# covers at least this much more, in radians, than the smallest cap.
+_COVER_GAP = 1e-12
+# A candidate counts for the loop oracle when its cover is at most its radius plus this.
+_CAP_SLACK = 1e-12
+# The active band is at least this over sin(r), in dot: the loop oracle's arccos
+# of dots near 1 makes its covers of a small cap that noisy; see _active_tol.
+_NOISE_BAND = 2e-13
+# Below this cap radius every vertex is active; see _active_tol.
+_SMALL_CAP = 2e-3
+# A support weight at or below this is a near tie; see circumcap.
+_WEIGHT_TOL = 1e-6
+# _nearest_point stops when no vertex undercuts |x|^2 by more than this times |x|.
+_NEAREST_STOP = 1e-13
+# Candidate centres that _least_cover scores at once.
 _CAP_BLOCK = 2048
+
+
+def _det(a, b, c) -> float:
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def _affine_weights(P: list) -> list[float]:
+    """Barycentric weights of the point of the affine hull of the 1 to 4
+    points P nearest the origin: scalar closed forms for 1, 2 and 3 points;
+    for 4, whose hull is space, those of the origin, by Cramer's rule, or,
+    should they be coplanar, those of the first three and a 0."""
+    if len(P) == 1:
+        return [1.0]
+    if len(P) == 2:
+        (a0, a1, a2), (b0, b1, b2) = P
+        d0, d1, d2 = b0 - a0, b1 - a1, b2 - a2
+        t = -(a0 * d0 + a1 * d1 + a2 * d2) / (d0 * d0 + d1 * d1 + d2 * d2)
+        return [1.0 - t, t]
+    if len(P) == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = P
+        e0, e1, e2, f0, f1, f2 = b0 - a0, b1 - a1, b2 - a2, c0 - a0, c1 - a1, c2 - a2
+        ee, ff = e0 * e0 + e1 * e1 + e2 * e2, f0 * f0 + f1 * f1 + f2 * f2
+        ef = e0 * f0 + e1 * f1 + e2 * f2
+        ae, af = a0 * e0 + a1 * e1 + a2 * e2, a0 * f0 + a1 * f1 + a2 * f2
+        # s e + t f minimizes |a + s e + t f|: the 2x2 normal equations by Cramer's rule.
+        det = ee * ff - ef * ef
+        s, t = (ef * af - ff * ae) / det, (ef * ae - ee * af) / det
+        return [1.0 - s - t, s, t]
+    a, b, c, d = P
+    w = [_det(b, c, d), -_det(a, c, d), _det(a, b, d), -_det(a, b, c)]
+    total = sum(w)
+    return [x / total for x in w] if total else [*_affine_weights(P[:3]), 0.0]
+
+
+def _corral_step(S: list[int], P: list[list], w: list[float]):
+    """Wolfe's minor cycles on the corral S, rows P, of feasible weights w:
+    to the nearest point of the affine hull of P if its weights are all
+    positive, else as far toward it as the weights stay nonnegative,
+    dropping the row whose weight reaches 0 first, and again.  Returns the
+    corral that is left, its rows, its weights and its point."""
+    beta = _affine_weights(P)
+    while min(beta) <= 0.0:
+        theta, drop = min((wi / (wi - bi) if wi > bi else 0.0, k)
+                          for k, (wi, bi) in enumerate(zip(w, beta)) if bi <= 0.0)
+        w = [(1.0 - theta) * wi + theta * bi for wi, bi in zip(w, beta)]
+        w[drop] = 0.0
+        keep = [k for k, wi in enumerate(w) if wi > 0.0]
+        S, P, w = [S[k] for k in keep], [P[k] for k in keep], [w[k] for k in keep]
+        beta = _affine_weights(P)
+    x0 = x1 = x2 = 0.0
+    for wi, (r0, r1, r2) in zip(beta, P):
+        x0, x1, x2 = x0 + wi * r0, x1 + wi * r1, x2 + wi * r2
+    return S, P, beta, (x0, x1, x2)
+
+
+def _nearest_point(V: np.ndarray) -> tuple[list[int], list[float], list[list], np.ndarray, float]:
+    """The point y* of conv(V) nearest the origin, by Wolfe's algorithm
+    (Math. Programming 11, 1976; the GJK distance of Gilbert, Johnson and
+    Keerthi, 1988, solves the same problem), for the unit rows V of a polygon.
+
+    It starts from the corral of the three rows least aligned with the
+    rows' sum, at their mean, and runs _corral_step; on the samples of a
+    reduced heptagon that corral is most often the support, and one more
+    pass confirms it.  Each major iteration takes the dots of every row
+    with x, one pass of n dots, and stops when no row undercuts |x|^2 by
+    more than _NEAREST_STOP |x| or the least dot is already a corral row's;
+    else it adds the row of the least dot to the corral with weight 0 and
+    runs _corral_step.  It stops too when x did not get shorter, which only
+    rounding can cause; in a small cap's last steps |x|^2 falls by less
+    than an ulp of 1, so the fall is taken from the differences of old and
+    new x.  The passes are ndarray.dot calls and the corral steps scalar
+    closed forms on rows as lists.  Returns S (row indices), its weights and
+    rows, the dots of V with the last x and |x|^2, which approximate y* and
+    |y*|^2.  Raises RuntimeError past 4n + 16 major iterations, which
+    Wolfe's finite descent never needs.
+    """
+    n = len(V)
+    rows = V.tolist()
+    S = V.dot(np.add.reduce(V)).argpartition(2)[:3].tolist()
+    P = [rows[j] for j in S]
+    S, P, w, (x0, x1, x2) = _corral_step(S, P, [1.0 / 3.0] * 3)
+    xx = x0 * x0 + x1 * x1 + x2 * x2
+    for _ in range(4 * n + 16):
+        dots = V.dot((x0, x1, x2))
+        j = int(dots.argmin())
+        if xx - dots.item(j) <= _NEAREST_STOP * math.sqrt(xx) or j in S:
+            return S, w, P, dots, xx
+        o0, o1, o2 = x0, x1, x2
+        S, P, w, (x0, x1, x2) = _corral_step(S + [j], P + [rows[j]], w + [0.0])
+        xx = x0 * x0 + x1 * x1 + x2 * x2
+        if (o0 - x0) * (o0 + x0) + (o1 - x1) * (o1 + x1) + (o2 - x2) * (o2 + x2) <= 0.0:
+            return S, w, P, V.dot((x0, x1, x2)), xx
+    raise RuntimeError(f"nearest point of {n} vertices not found in {4 * n + 16} iterations")
+
+
+def _active_tol(support: list[list], rho: float) -> float:
+    """The width tau, in dot with the unit centre u, of the band inside the
+    boundary of the cap of cos-radius rho and support rows S in which a
+    vertex stays active.
+
+    A vertex inside the cap by the angle m lies on no other candidate cap
+    that passes the oracle's filter unless that cap's centre is at least
+    m - _CAP_SLACK from u.  A centre moved from u by d covers S at least
+    kappa d + (1 - kappa^2) cot(r) d^2 / 2 more, to second order, with
+    kappa the least over unit d of the greatest g_s . d, g_s the unit
+    tangent at u away from s: 0 for a pair, whose centre slides along its
+    bisector, and cos(theta / 2) for a triple whose tangents open a widest
+    angle theta, where cos theta = (v_i . v_j - rho^2) / (1 - rho^2).  tau
+    is sin(r) times the m at which that excess reaches _COVER_GAP, far
+    above the some 1e-14 by which rounding moves a computed cover.  At
+    r = 0.5 a pair gets tau = 5e-7 and an equilateral triple 1.4e-12.
+    Measured on random caps of r up to 1.56, a vertex inside by the angle
+    1e-8 took the oracle away from a third of the pair caps, and 1e-7 from
+    1 in 441; triples held from 2e-12 on.
+
+    tau is at least _NOISE_BAND / sin(r): the oracle takes arccos of dots
+    near 1, so its covers of a small cap move by some 1e-16 / r, and on
+    near-cocircular caps of r = 0.001 to 0.005 its winner lay up to
+    5e-15 / sin(r) inside the boundary.  Below r = 1e-3 that noise
+    reaches the oracle's 1e-12 filter slack, which then rejects candidates,
+    the smallest cap's too, at random, and its winner can lie anywhere:
+    below sin(r) = _SMALL_CAP tau is infinite, every vertex active.
+    """
+    sin2 = 1.0 - rho * rho
+    if sin2 < _SMALL_CAP * _SMALL_CAP:
+        return math.inf
+    kappa2 = 0.0
+    if len(support) == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = support
+        least = min(a0 * b0 + a1 * b1 + a2 * b2, a0 * c0 + a1 * c1 + a2 * c2,
+                    b0 * c0 + b1 * c1 + b2 * c2)
+        kappa2 = max(0.0, (1.0 - 2.0 * rho * rho + least) / (2.0 * sin2))
+    sin_r = math.sqrt(sin2)
+    # The root m of kappa m + q m^2 / 2 = _COVER_GAP, q = (1 - kappa^2) cot r, in stable form.
+    q_gap = (1.0 - kappa2) * rho / sin_r * _COVER_GAP
+    m = 2.0 * _COVER_GAP / (math.sqrt(kappa2) + math.sqrt(kappa2 + 2.0 * q_gap))
+    return max(sin_r * (_CAP_SLACK + m), _NOISE_BAND / sin_r)
+
+
+def _support_center(support: list[list]) -> np.ndarray:
+    """The loop oracle's candidate centre of the rows support, in index
+    order: the pair cap's v_i + v_j or the triple cap's (v_i - v_j) x
+    (v_j - v_k), in Python floats, which round each product and difference
+    like np.cross, as a fresh array divided by np.linalg.norm's sqrt(c . c)."""
+    if len(support) == 2:
+        a, b = support
+        c = np.array([a[0] + b[0], a[1] + b[1], a[2] + b[2]])
+    else:
+        a, b, d = support
+        p0, p1, p2 = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+        q0, q1, q2 = b[0] - d[0], b[1] - d[1], b[2] - d[2]
+        c = np.array([p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0])
+    return c / math.sqrt(c.dot(c))
 
 
 @lru_cache(maxsize=8)
@@ -176,15 +344,64 @@ def _index_combinations(n: int, k: int) -> np.ndarray:
     return rows
 
 
-def _cap_blocks(n: int):
-    """circumcap's blocks: pair rows, then triple rows, as slices of
-    _index_combinations.  A block holds _CAP_BLOCK candidates, the last
-    fewer, and may run across from pairs to triples; every n <= 23 takes one."""
-    pairs, triples = _index_combinations(n, 2), _index_combinations(n, 3)
-    m = len(pairs)
-    for start in range(0, m + len(triples), _CAP_BLOCK):
+def _cap_blocks(active: np.ndarray):
+    """_least_cover's blocks: the pairs, then the triples, of the increasing
+    vertex indices active, as rows, in combinations order.  A block holds
+    _CAP_BLOCK candidates, the last fewer, and may run across from pairs to
+    triples; every 23 or fewer active vertices take one."""
+    m = len(active)
+    pairs, triples = _index_combinations(m, 2), _index_combinations(m, 3)
+    for start in range(0, len(pairs) + len(triples), _CAP_BLOCK):
         stop = start + _CAP_BLOCK
-        yield pairs[start:stop], triples[max(start - m, 0):max(stop - m, 0)]
+        yield (active.take(pairs[start:stop]),
+               active.take(triples[max(start - len(pairs), 0):max(stop - len(pairs), 0)]))
+
+
+def _least_cover(V: np.ndarray, active: np.ndarray) -> tuple[float, np.ndarray]:
+    """The cover and centre of the first of the pair and triple caps of the
+    vertices active to cover the rows of V least, as the loop oracle takes them.
+
+    The candidates are every pair midpoint, in combinations order, then every
+    triple's c = (v_i - v_j) x (v_j - v_k), in combinations order; pairs and
+    triples whose direction is shorter than SEPARATION_TOL are masked out.  A
+    candidate counts when its own cap (radius to v_i) is at most pi/2 and
+    covers every row of V; of those, the first with the least cover wins.
+    The centre -c of a triple is not a candidate: c . v_i = det(v_i, v_j,
+    v_k), which is positive for i < j < k of a counterclockwise strictly
+    convex polygon, so the cap around -c has a radius above pi/2 and never
+    counts.  Each block of _cap_blocks gathers V once for its pairs and once
+    for its triples, and its cross products by one flat gather; short rows
+    are masked, not dropped.  Norms are (1x3)@(3x1) matmuls and cover dots
+    the batched gemv V @ c, as the loop oracle takes them, so the cap is bit
+    for bit its; the filter's radius, the anchor's cover entry, may differ
+    from the oracle's in last bits.
+    """
+    best_cover, best_center = math.inf, None
+    for pairs, triples in _cap_blocks(active):
+        P, T = V.take(pairs, axis=0), V.take(triples, axis=0)
+        Y = (T[:, :2] - T[:, 1:]).ravel()[_pair_plan(len(T))]
+        # Rows aligned like fresh vectors: Prescott's ddot rounds by alignment.
+        R = np.empty((len(P) + len(T), 4))[:, :3]
+        np.add(P[:, 0], P[:, 1], out=R[:len(P)])
+        np.subtract(Y[0] * Y[1], Y[2] * Y[3], out=R[len(P):])
+        norm = np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+        keep = norm >= SEPARATION_TOL
+        C = R / np.where(keep, norm, 1.0)[:, None]
+        # [vertex, candidate]: the max over a short last axis is slow.
+        D = np.maximum((V @ C[:, :, None])[..., 0].T, -1.0, order="C")
+        A = np.arccos(np.minimum(D, 1.0))
+        cover = A.max(axis=0)
+        radius = A[np.concatenate([pairs[:, 0], triples[:, 0]]), np.arange(len(C))]
+        ok = np.flatnonzero(keep & (radius <= 0.5 * math.pi + _CAP_SLACK)
+                            & (cover <= radius + _CAP_SLACK))
+        if ok.size:
+            m = ok[np.argmin(cover[ok])]
+            # Strict: on equal covers the earlier block's candidate stays.
+            if cover[m] < best_cover:
+                best_cover, best_center = float(cover[m]), C[m].copy()
+    if best_center is None:
+        raise NoEnclosingCap("no cap of radius <= pi/2 encloses the vertices")
+    return best_cover, best_center
 
 
 class SphericalPolygon:
@@ -284,56 +501,45 @@ class SphericalPolygon:
         return float(np.add.reduce(d[0])), diameter, (float(d[-1].max()) if n % 2 else diameter)
 
     def circumcap(self) -> "Cap":
-        """Smallest spherical cap containing every vertex.
+        """Smallest spherical cap containing every vertex: of the pair and
+        triple caps the tests' loop oracle scores, the first of least cover,
+        bit for bit.
 
-        Brute force over the O(n^2) two-point caps and O(n^3) three-point
-        caps, as array code over all candidate centres.  The candidates are
-        every pair midpoint, in combinations order, then every triple's
-        c = (v_i - v_j) x (v_j - v_k), in combinations order; pairs and
-        triples whose direction is shorter than SEPARATION_TOL are masked
-        out.  A candidate counts when its own cap (radius to v_i) is at most
-        pi/2 and covers every vertex; of those, the first with the least
-        cover wins.  The centre -c of a triple is not a candidate: c . v_i =
-        det(v_i, v_j, v_k), which is positive for i < j < k of a
-        counterclockwise strictly convex polygon, so the cap around -c has a
-        radius above pi/2 and never counts.  Each block of _cap_blocks
-        gathers V once for its pairs and once for its triples, and its cross
-        products by one flat gather; short rows are masked, not dropped.
-        Norms are (1x3)@(3x1) matmuls and cover dots the batched gemv V @ c,
-        as the tests' loop oracle takes them, so the cap is bit for bit its;
-        the filter's radius, the anchor's cover entry, may differ from the oracle's in last bits.
+        The vertices lie in an open hemisphere, so the point y* of conv(V)
+        nearest the origin is not 0; the cap has centre u = y*/|y*| and
+        radius arccos |y*|.  _nearest_point finds y* and its support S, 2 or
+        3 vertices, in a few passes of n dots.  The active set A holds the
+        vertices whose dot with u is at most |y*| + _active_tol: every pair
+        or triple cap through another vertex covers _COVER_GAP more than the
+        cap, so the oracle never picks it.
+
+        Untied, A = S and every weight of S is above _WEIGHT_TOL: then the
+        vertex of least weight lies outside the pair cap of the other two by
+        more than 1e-8, over 1/100 of its weight on random caps, past the
+        oracle's filter slack; at a weight near 0 that pair cap ties the
+        cap.  S's candidate wins, and _support_center builds it and its
+        cover arccos(V @ c).max() as the oracle does.
+        Tied, as on a regular polygon, whose every vertex is active:
+        _least_cover scores the pairs, then the triples, of A, which keeps
+        the oracle's order of them, with covers over all of V, in O(|A|^3).
+        Below a radius of _SMALL_CAP every vertex is active (see
+        _active_tol): the oracle's own filter is decided by rounding there.
         """
-        n = self.n
-        if n > 99:
-            raise DomainError(f"circumcap supports at most 99 vertices, got {n}")
         V = self._array
-        slack = 1e-12
-        best_cover, best_center = math.inf, None
-        for pairs, triples in _cap_blocks(n):
-            P, T = V.take(pairs, axis=0), V.take(triples, axis=0)
-            Y = (T[:, :2] - T[:, 1:]).ravel()[_pair_plan(len(T))]
-            # Rows aligned like fresh vectors: Prescott's ddot rounds by alignment.
-            R = np.empty((len(P) + len(T), 4))[:, :3]
-            np.add(P[:, 0], P[:, 1], out=R[:len(P)])
-            np.subtract(Y[0] * Y[1], Y[2] * Y[3], out=R[len(P):])
-            norm = np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
-            keep = norm >= SEPARATION_TOL
-            C = R / np.where(keep, norm, 1.0)[:, None]
-            # [vertex, candidate]: the max over a short last axis is slow.
-            D = np.maximum((V @ C[:, :, None])[..., 0].T, -1.0, order="C")
-            A = np.arccos(np.minimum(D, 1.0))
-            cover = A.max(axis=0)
-            radius = A[np.concatenate([pairs[:, 0], triples[:, 0]]), np.arange(len(C))]
-            ok = np.flatnonzero(keep & (radius <= 0.5 * math.pi + slack) & (cover <= radius + slack))
-            if ok.size:
-                m = ok[np.argmin(cover[ok])]
-                # Strict: on equal covers the earlier block's candidate stays.
-                if cover[m] < best_cover:
-                    best_cover, best_center = float(cover[m]), C[m].copy()
-        if best_center is None:
-            raise NoEnclosingCap("no cap of radius <= pi/2 encloses the vertices")
-        best_center.flags.writeable = False
-        return Cap(center=best_center, radius=best_cover)
+        support, weights, rows, dots, yy = _nearest_point(V)
+        dots = dots.tolist()
+        rho = math.sqrt(yy)
+        # From the support's own dots, so that A holds S whatever their rounding.
+        bound = max(dots[i] for i in support) + rho * _active_tol(rows, rho)
+        active = [i for i, d in enumerate(dots) if d <= bound]
+        if len(active) == len(support) and min(weights) > _WEIGHT_TOL:
+            center = _support_center([row for _, row in sorted(zip(support, rows))])
+            # Every dot is at least |y*| > 0, so the oracle's clip at -1 is idle.
+            cover = max(np.arccos(np.minimum(V @ center, 1.0)).tolist())
+        else:
+            cover, center = _least_cover(V, np.array(active))
+        center.flags.writeable = False
+        return Cap(center=center, radius=cover)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SphericalPolygon) and np.array_equal(self._array, other._array)

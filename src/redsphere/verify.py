@@ -48,8 +48,10 @@ from .errors import DomainError
 from .formulas import (
     arm_from_angle,
     arm_length,
+    arm_lengths,
     covering_radius_bound,
     crossing_angle,
+    crossing_angle_inv,
     diameter_bound,
     diameter_bound_coarse,
     regular_metrics,
@@ -135,25 +137,15 @@ def _sample_tag(sample: SampleResult) -> str:
 
 
 def _jung_floor(radius: float) -> float:
-    """Two-point Jung floor 2 arcsin(sqrt(3)/2 sin r) on the diameter.
-
-    min keeps its first argument against a NaN, so a NaN radius gives NaN.
-    """
+    """Two-point Jung floor 2 arcsin(sqrt(3)/2 sin r) on the diameter."""
     return 2.0 * math.asin(min(0.5 * math.sqrt(3.0) * math.sin(radius), 1.0))
 
 
-def cap_radius(P: SphericalPolygon) -> float:
-    """P's circumcap radius; NaN, which fails the claims that read it, past 99 vertices."""
+def _arm_sum(xs: Iterable[float], lam: float) -> float:
+    """sum(arm_lengths(xs, lam)), or NaN, which fails the claim, when an x,
+    or the generator xs while it makes one, leaves its formula's domain."""
     try:
-        return P.circumcap().radius
-    except DomainError:
-        return math.nan
-
-
-def _arm(arm, value: float, lam: float) -> float:
-    """arm(value, lam), or NaN, which fails the claim, outside arm's domain."""
-    try:
-        return arm(value, lam)
+        return sum(arm_lengths(xs, lam))
     except DomainError:
         return math.nan
 
@@ -234,7 +226,7 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
     n = P.n
     g, lam, coarse_gap, max_diameter, max_radius, regular_perimeter = _bounds(n, thickness)
     perimeter, full_diameter, diameter = P.lengths()
-    radius = cap_radius(P)
+    radius = P.circumcap().radius
     jung_floor = _jung_floor(radius)
     out = [
         _report("perimeter-min", tag, perimeter, regular_perimeter, TOL_FORMULA, "ge"),
@@ -275,13 +267,13 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
             out.append(_report("crossing-angle-sum-strict", tag, total, math.pi, 1e-9, "gt"))
         # Spoke-decomposition identity: geometric perimeter equals twice the
         # summed arms of the crossing parameters y_i = tan|o_i t_i|.
-        arms = sum(_arm(arm_length, math.tan(y), lam)
-                   for y in witness.crossing_foot_distances)
+        arms = _arm_sum((math.tan(y) for y in witness.crossing_foot_distances), lam)
         out.append(_report("perimeter-witness-identity", tag,
                            perimeter, 2.0 * arms, TOL_FORMULA, "eq"))
+        mean_arm = _arm_sum((crossing_angle_inv(p, lam) for p in (total / n,)), lam)
         out.append(_report("perimeter-jensen", tag,
-                           2.0 * sum(_arm(arm_from_angle, p, lam) for p in phis),
-                           2.0 * n * _arm(arm_from_angle, total / n, lam), 1e-9, "ge"))
+                           2.0 * _arm_sum((crossing_angle_inv(p, lam) for p in phis), lam),
+                           2.0 * n * mean_arm, 1e-9, "ge"))
     else:
         out.append(_report("crossing-angle-range", tag, math.nan, 0.0, 0.0, "gt"))
     return out

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from redsphere.cli import main
+from redsphere.formulas import regular_metrics
 from redsphere.polygon import build_regular, save_polygon
 from conftest import pulled_regular, side_end_triangle
 
@@ -213,9 +214,9 @@ class TestVerifyFailures:
         assert payload["is_reduced"] is False and payload["all_passed"] is False
         assert "coincident or antipodal" in payload["reason"]
 
-    def test_past_circumcap_limit_fails_the_cap_claims_in_band(self, capsys, tmp_path):
-        # circumcap supports at most 99 vertices; the regular 101-gon is a
-        # valid file, so only the two claims that read the cap radius fail.
+    def test_past_ninety_nine_vertices_passes_the_cap_claims(self, capsys, tmp_path):
+        # circumcap has no vertex limit: the regular 101-gon's cap is its
+        # circumscribed one, and both claims that read its radius pass.
         path = str(tmp_path / "big.json")
         code, _, _ = run(capsys, "regular", "--n", "101", "--thickness", "pi/4", "--out", path)
         assert code == 0
@@ -223,15 +224,15 @@ class TestVerifyFailures:
         assert code == 0 and not err
         payload = strict_loads(out)
         assert payload["n"] == 101 and payload["is_reduced"] is True
-        assert payload["circumcap_radius"] is None
+        circumradius = regular_metrics(101, math.pi / 4).circumradius
+        assert payload["circumcap_radius"] == pytest.approx(circumradius, abs=1e-8)
         code, out, err = run(capsys, "verify", "--in", path)
-        assert code == 1 and not err
+        assert code == 0 and not err
         payload = strict_loads(out)
-        assert payload["is_reduced"] is True and payload["all_passed"] is False
-        failed = {c["claim_id"]: c for c in payload["claims"] if not c["passed"]}
-        assert sorted(failed) == ["circumradius-bound", "jung-relation"]
-        assert failed["circumradius-bound"]["measured"] is None
-        assert failed["jung-relation"]["bound"] is None
+        assert payload["is_reduced"] is True and payload["all_passed"] is True
+        claims = {c["claim_id"]: c for c in payload["claims"]}
+        assert claims["circumradius-bound"]["passed"] and claims["jung-relation"]["passed"]
+        assert claims["circumradius-bound"]["measured"] == pytest.approx(circumradius, abs=1e-8)
 
     def test_non_finite_vertex_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "nan.json"

@@ -16,6 +16,7 @@ from redsphere import (
     RegularMetrics,
     arm_from_angle,
     arm_length,
+    arm_lengths,
     covering_radius_bound,
     crossing_angle,
     crossing_angle_inv,
@@ -92,6 +93,28 @@ class TestArmLength:
             arm_length(x_limit(1.0), 1.0)
         with pytest.raises(DomainError):
             arm_length(0.1, 0.0)
+
+    def test_batch_is_the_scalar_formula(self):
+        # One lam, many x: the expression arm_length evaluated before the batch
+        # form, written out here, bit for bit.
+        for lam in (0.3, 1.0, 5.0):
+            xs = [x_limit(lam) * k / 64 for k in range(64)]
+            want = [math.acos(max(-1.0, min(1.0, (1.0 + lam * x) / math.sqrt(1.0 + lam * lam))))
+                    for x in xs]
+            assert arm_lengths(xs, lam) == want
+            assert arm_lengths(iter(xs), lam) == want
+            assert [arm_length(x, lam) for x in xs] == want
+        assert arm_lengths([], 1.0) == []
+
+    @pytest.mark.parametrize("bad", [-1e-9, 0.5, math.nan])
+    def test_batch_raises_like_the_scalar(self, bad):
+        with pytest.raises(DomainError) as scalar:
+            arm_length(bad, 1.0)
+        with pytest.raises(DomainError) as batch:
+            arm_lengths([0.1, bad, 0.2], 1.0)
+        assert str(batch.value) == str(scalar.value)
+        with pytest.raises(DomainError, match="must be positive"):
+            arm_lengths([0.1], 0.0)
 
 
 class TestCrossingAngle:

@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "NotInHemisphere", "OMEGA_GRID", "PolygonDocumentError", "RedsphereError",
     "ReducedWitness", "RegularMetrics", "SampleResult", "SamplerConfig", "SphericalPolygon",
     "Splitmix64", "TABLE1_REFERENCE", "VerificationReport", "__version__",
-    "arm_from_angle", "arm_length", "build_regular", "check_bound_gap",
+    "arm_from_angle", "arm_length", "arm_lengths", "build_regular", "check_bound_gap",
     "check_regular_monotonicity", "check_scalar_lemmas", "covering_radius_bound",
     "crossing_angle", "crossing_angle_inv", "diameter_bound", "diameter_bound_coarse",
     "full_suite", "load_polygon", "polygon_from_doc", "polygon_reports", "polygon_to_doc",
@@ -28,7 +28,7 @@ def test_every_exported_name_resolves():
 
 
 def test_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 47
     assert len(set(redsphere.__all__)) == len(redsphere.__all__)
     assert sorted(redsphere.__all__) == PUBLIC_NAMES
 

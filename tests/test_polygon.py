@@ -2,6 +2,7 @@
 
 import json
 import math
+import timeit
 from itertools import combinations
 from typing import Optional
 
@@ -824,6 +825,40 @@ class TestMeasuredOnce:
             assert np.array_equal(P._side_dots, V @ P._poles.T)
 
 
+# A near-cocircular 11-gon of cap radius 0.0023, a random ring turned by a random rotation.
+SMALL_RING = [
+    [0.955759307611409, 0.15563726327671568, 0.24960205967478427],
+    [0.9556368865899136, 0.1556181349236015, 0.25008226060965727],
+    [0.9553912909210236, 0.15471611975575644, 0.2515758404934437],
+    [0.9558305913332438, 0.1519455460829332, 0.2515957704276855],
+    [0.9560143843837369, 0.15152136477573752, 0.2511528874368812],
+    [0.9561307552868681, 0.15133087948404658, 0.2508245277263531],
+    [0.9562876315946753, 0.15117086522955597, 0.2503224623656332],
+    [0.9566904873429295, 0.1516881627522576, 0.2484633025386102],
+    [0.9567152658134548, 0.1519289961913237, 0.2482206282237382],
+    [0.9567233293577498, 0.1521004959373433, 0.24808448197788785],
+    [0.9558471036142575, 0.1555923254898128, 0.24929368776787544],
+]
+
+
+# A quadrilateral of cap radius 1.6e-4, the hull of random points near the pole.
+TINY_QUAD = [
+    [-8.416915483607572e-05, -5.761518942907779e-05, 1.0],
+    [-2.874218996664717e-05, -6.4191703238546e-05, 1.0],
+    [5.1746776472219565e-05, -4.7136646028540244e-05, 1.0],
+    [0.00010058117233841257, -3.5827616206585113e-06, 1.0],
+]
+
+
+@pytest.fixture
+def no_ties(monkeypatch):
+    """circumcap with a tie scorer that raises, naming the active vertex count."""
+    def refuse(V, active):
+        raise AssertionError(f"tie scorer reached with {len(active)} active vertices")
+
+    monkeypatch.setattr(polygon_module, "_least_cover", refuse)
+
+
 class TestCircumcap:
     def test_regular_cap_is_vertex_colatitude(self, pentagon):
         cap = pentagon.circumcap()
@@ -867,7 +902,7 @@ class TestCircumcap:
 
     def test_winner_in_a_later_triple_block(self, monkeypatch):
         # Three vertices at colatitude 0.5 fix the cap; their triple (7, 14, 20)
-        # comes after the first block of triples.
+        # comes after the first block of triples of the tie scorer.
         monkeypatch.setattr(polygon_module, "_CAP_BLOCK", 1024)
         far = (7, 14, 20)
         P = SphericalPolygon([spherical_row(0.5 if k in far else 0.49, 2.0 * math.pi * k / 21)
@@ -875,8 +910,8 @@ class TestCircumcap:
         triples = _index_combinations(21, 3).tolist()
         assert len(triples) > polygon_module._CAP_BLOCK
         assert triples.index(list(far)) >= polygon_module._CAP_BLOCK
-        assert len(list(polygon_module._cap_blocks(21))) > 1
-        cap = P.circumcap()
+        assert len(list(polygon_module._cap_blocks(np.arange(21)))) > 1
+        cap = _tie_cap(P)
         _assert_same_cap(cap, reference_circumcap(P))
         assert cap.radius == pytest.approx(0.5, abs=1e-12)
 
@@ -886,34 +921,141 @@ class TestCircumcap:
         polygons = [build_regular(n, w) for n in (3, 5, 7, 9) for w in OMEGA_GRID]
         for P in polygons + [crooked_heptagon]:
             # Only the triangle's 3 pairs and 1 triple fit in one block of 4.
-            assert len(list(polygon_module._cap_blocks(P.n))) > 1 or P.n == 3
-            _assert_same_cap(P.circumcap(), reference_circumcap(P))
+            assert len(list(polygon_module._cap_blocks(np.arange(P.n)))) > 1 or P.n == 3
+            _assert_same_cap(_tie_cap(P), reference_circumcap(P))
 
     @pytest.mark.parametrize("block", [4, 1024, 2048])
     def test_blocks_enumerate_pairs_then_triples(self, monkeypatch, block):
-        # Every pair, then every triple, once each in combinations order, in
-        # blocks of the patched size; each candidate is anchored at its first vertex.
+        # Every pair, then every triple, of the active vertices, once each in
+        # combinations order, in blocks of the patched size; each candidate
+        # is anchored at its first vertex.  A subset keeps the order.
         monkeypatch.setattr(polygon_module, "_CAP_BLOCK", block)
         for n in range(3, 31):
-            want = list(combinations(range(n), 2)) + list(combinations(range(n), 3))
-            blocks = list(polygon_module._cap_blocks(n))
-            assert len(blocks) == -(-len(want) // block)
-            start = 0
-            for pairs, triples in blocks:
-                rows = [tuple(r) for r in pairs.tolist() + triples.tolist()]
-                assert rows == want[start:start + block]
-                anchors = np.concatenate([pairs[:, 0], triples[:, 0]])
-                assert anchors.tolist() == [r[0] for r in rows]
-                start += len(rows)
-            assert start == len(want)
+            for active in (np.arange(n), np.arange(1, 2 * n, 2)):
+                want = (list(combinations(active.tolist(), 2))
+                        + list(combinations(active.tolist(), 3)))
+                blocks = list(polygon_module._cap_blocks(active))
+                assert len(blocks) == -(-len(want) // block)
+                start = 0
+                for pairs, triples in blocks:
+                    rows = [tuple(r) for r in pairs.tolist() + triples.tolist()]
+                    assert rows == want[start:start + block]
+                    anchors = np.concatenate([pairs[:, 0], triples[:, 0]])
+                    assert anchors.tolist() == [r[0] for r in rows]
+                    start += len(rows)
+                assert start == len(want)
 
     @pytest.mark.parametrize("pull", [0.0, 0.01])
     def test_several_blocks_at_the_default_size(self, pull):
         # 300 pairs and 2300 triples take two blocks of 2048; a pull of 0.05
         # would leave the 25-gon non-convex.
         P = pulled_regular(25, QUARTER_PI, pull)
-        assert len(list(polygon_module._cap_blocks(P.n))) == 2
+        assert len(list(polygon_module._cap_blocks(np.arange(P.n)))) == 2
+        _assert_same_cap(_tie_cap(P), reference_circumcap(P))
         _assert_same_cap(P.circumcap(), reference_circumcap(P))
+
+    def test_untied_caps_skip_the_tie_scorer(self, no_ties, sample_grid):
+        # Every perturbed session-grid polygon takes the support's candidate,
+        # and it is the oracle's; a regular polygon, all of whose vertices
+        # are active, reaches the tie scorer; the triangle has no tie.
+        for s in sample_grid.all_converged():
+            _assert_same_cap(s.polygon.circumcap(), reference_circumcap(s.polygon))
+        _assert_same_cap(build_regular(3, QUARTER_PI).circumcap(),
+                         reference_circumcap(build_regular(3, QUARTER_PI)))
+        for n in (5, 7, 21):
+            with pytest.raises(AssertionError, match=f"reached with {n} active"):
+                build_regular(n, QUARTER_PI).circumcap()
+
+    @pytest.mark.parametrize("kind", ["pair", "triple"])
+    @pytest.mark.parametrize("inside", [
+        "1e-6", "above tau", "below tau", "on the boundary", "outside by 1e-9"])
+    def test_near_ties_match_the_oracle(self, monkeypatch, kind, inside):
+        # A fourth vertex w inside the cap of a pair (longitudes 0 and pi) or
+        # a triple (0, 2pi/3, 4pi/3) at colatitude 0.5, by a dot with the
+        # centre of 1e-6, 1.01 tau, 0.99 tau or 0, or outside it by 1e-9.  w
+        # within tau of the boundary sends the cap to the tie scorer; so does
+        # w just outside a pair cap, which joins the support with a weight
+        # near 0.  Just outside the triple cap, w makes a new triple cap that
+        # the vertex it displaced lies inside by more than tau.
+        tied = inside in ("below tau", "on the boundary") or (
+            inside == "outside by 1e-9" and kind == "pair")
+        lons = [0.0, math.pi] if kind == "pair" else [0.0, 2.0 * math.pi / 3, 4.0 * math.pi / 3]
+        rows = [spherical_row(0.5, lon) for lon in lons]
+        if kind == "pair":
+            rows.append(spherical_row(0.3, 1.5 * math.pi))
+        base = SphericalPolygon(rows).as_array()
+        _, weights, support, _, _ = polygon_module._nearest_point(base)
+        y = np.sum([weight * np.array(row) for weight, row in zip(weights, support)], axis=0)
+        rho = float(np.linalg.norm(y))
+        tau = polygon_module._active_tol(support, rho)
+        gap = {"1e-6": 1e-6, "above tau": 1.01 * tau, "below tau": 0.99 * tau,
+               "on the boundary": 0.0, "outside by 1e-9": -1e-9}[inside]
+        # w at the dot rho + gap with the centre, toward longitude pi/2.
+        tangent = np.cross(y, base[0])
+        tangent /= np.linalg.norm(tangent)
+        w_row = (rho + gap) * y / rho + math.sqrt(1.0 - (rho + gap) ** 2) * tangent
+        P = SphericalPolygon(np.insert(base, 1, w_row, axis=0))
+        reached = []
+        least_cover = polygon_module._least_cover
+        monkeypatch.setattr(polygon_module, "_least_cover",
+                            lambda V, active: reached.append(len(active)) or least_cover(V, active))
+        _assert_same_cap(P.circumcap(), reference_circumcap(P))
+        assert bool(reached) == tied
+
+    def test_pair_cap_loses_its_bits_to_a_vertex_inside_by_1e_8(self, monkeypatch):
+        # Why a two-point cap's band is wide: a vertex inside it by the angle
+        # 1e-8 puts the triple cap through it within rounding of the pair's,
+        # and here the oracle takes the triple.  circumcap scores the tie.
+        c, s = math.cos(0.5), math.sin(0.5)
+        rows = [spherical_row(0.5, 0.0), spherical_row(0.5 - 1e-8, 1.3),
+                spherical_row(0.5, math.pi), spherical_row(0.3, 1.5 * math.pi)]
+        P = SphericalPolygon([[c * x + s * z, y, c * z - s * x] for x, y, z in rows])
+        want = reference_circumcap(P)
+        support = polygon_module._nearest_point(P.as_array())[0]
+        assert sorted(support) == [0, 2]
+        center = polygon_module._support_center(P.as_array()[[0, 2]].tolist())
+        assert not np.array_equal(center, want.center)
+        reached = []
+        least_cover = polygon_module._least_cover
+        monkeypatch.setattr(polygon_module, "_least_cover",
+                            lambda V, active: reached.append(len(active)) or least_cover(V, active))
+        _assert_same_cap(P.circumcap(), want)
+        assert reached == [3]
+
+    def test_small_near_cocircular_cap_matches_the_oracle(self, monkeypatch):
+        # An 11-gon close to a circle of radius 0.0023: the oracle's arccos of
+        # dots near 1 moves its covers by some 1e-13, and its winner has a
+        # vertex that only the band's floor, _NOISE_BAND / sin(r), keeps
+        # active; without the floor circumcap takes another cap.
+        P = SphericalPolygon(SMALL_RING)
+        want = reference_circumcap(P)
+        assert want.radius == pytest.approx(0.0023, abs=1e-4)
+        reached = []
+        least_cover = polygon_module._least_cover
+        monkeypatch.setattr(polygon_module, "_least_cover",
+                            lambda V, active: reached.append(len(active)) or least_cover(V, active))
+        _assert_same_cap(P.circumcap(), want)
+        assert reached
+        monkeypatch.setattr(polygon_module, "_NOISE_BAND", 0.0)
+        got = P.circumcap()
+        assert not (got.radius == want.radius and np.array_equal(got.center, want.center))
+
+    def test_tiny_caps_score_every_vertex(self, monkeypatch):
+        # Below a radius of 2e-3 the oracle's arccos noise reaches its filter
+        # slack: here the smallest cap fails the filter, and the oracle takes
+        # one 6e-5 wider.  circumcap then scores every vertex, as it did
+        # before the nearest-point search.
+        P = SphericalPolygon(TINY_QUAD)
+        want = _tie_cap(P)
+        _assert_same_cap(want, reference_circumcap(P))
+        reached = []
+        least_cover = polygon_module._least_cover
+        monkeypatch.setattr(polygon_module, "_least_cover",
+                            lambda V, active: reached.append(len(active)) or least_cover(V, active))
+        _assert_same_cap(P.circumcap(), want)
+        assert reached == [4]
+        monkeypatch.setattr(polygon_module, "_SMALL_CAP", 0.0)
+        assert P.circumcap().radius < want.radius - 1e-5
 
     def test_negated_triple_centres_never_count(self):
         # circumcap scores only +c of each triple; -c, which the loop oracle
@@ -937,9 +1079,26 @@ class TestCircumcap:
         cap = build_regular(99, w).circumcap()
         assert cap.radius == pytest.approx(regular_metrics(99, w).circumradius, abs=1e-9)
 
-    def test_more_than_ninety_nine_vertices_refused(self):
-        with pytest.raises(DomainError, match="circumcap supports at most 99 vertices, got 101"):
-            build_regular(101, math.pi / 6).circumcap()
+    def test_more_than_ninety_nine_vertices_supported(self):
+        w = math.pi / 6
+        cap = build_regular(101, w).circumcap()
+        assert cap.radius == pytest.approx(regular_metrics(101, w).circumradius, abs=1e-9)
+
+    @pytest.mark.parametrize("n, pull", [(101, 1e-3), (401, 1e-4)])
+    def test_past_ninety_nine_vertices(self, no_ties, n, pull):
+        # Vertex 0 pulled outward about as far as convexity allows: the untied
+        # cap of vertex 0 and the two vertices across from it.
+        P = pulled_regular(n, math.pi / 3, pull)
+        cap = P.circumcap()
+        V = P.as_array()
+        assert float(np.arccos(np.clip(V @ cap.center, -1.0, 1.0)).max()) <= cap.radius + 1e-12
+        rng = np.random.default_rng(37)
+        centers = cap.center + 1e-3 * rng.normal(size=(10_000, 3))
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        radii = np.arccos(np.clip(centers @ V.T, -1.0, 1.0)).max(axis=1)
+        assert float(radii.min()) >= cap.radius - 1e-12
+        if n == 401:
+            assert min(timeit.repeat(P.circumcap, number=1, repeat=5)) < 1e-3
 
 
 def _random_hulls(count, seed):
@@ -975,6 +1134,12 @@ def _random_hulls(count, seed):
 def _turn(o, a, b):
     """Positive when o -> a -> b turns counterclockwise in the plane."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _tie_cap(P):
+    """The cap of the tie scorer with every vertex of P active."""
+    cover, center = polygon_module._least_cover(P.as_array(), np.arange(P.n))
+    return Cap(center=center, radius=cover)
 
 
 def _assert_same_cap(got, want):
