@@ -6,7 +6,7 @@ signals an argument outside a function's mathematical domain.
 """
 
 __all__ = ["RedsphereError", "DomainError", "DegeneratePoint", "NotConvex", "NotInHemisphere",
-           "NoEnclosingCap", "PolygonDocumentError"]
+           "PolygonDocumentError"]
 
 
 class RedsphereError(Exception):
@@ -27,10 +27,6 @@ class NotConvex(RedsphereError):
 
 class NotInHemisphere(RedsphereError):
     """No open-hemisphere witness found for the vertex set."""
-
-
-class NoEnclosingCap(RedsphereError):
-    """No spherical cap of radius <= pi/2 contains every vertex."""
 
 
 class PolygonDocumentError(RedsphereError):

@@ -14,14 +14,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
 
 from . import formulas
-from .errors import (DegeneratePoint, DomainError, NoEnclosingCap, NotConvex, NotInHemisphere,
-                     PolygonDocumentError)
+from .errors import DegeneratePoint, DomainError, NotConvex, NotInHemisphere, PolygonDocumentError
 
 __all__ = [
     "SphericalPolygon",
@@ -119,8 +117,7 @@ def _gap_pairs(n: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _pair_plan(m: int) -> np.ndarray:
     """cross_plan of the rows X[r, 0] x X[r, 1] of a raveled (m, 2, 3) array
-    X (read-only).  Cached by m, not by n: _least_cover's m is its block's, and
-    _angles takes pairs of any count."""
+    X (read-only).  Cached by m, not by n: _angles takes pairs of any count."""
     plan = cross_plan(2 * np.arange(m), 2 * np.arange(m) + 1)
     plan.flags.writeable = False
     return plan
@@ -163,22 +160,10 @@ def _plans(n: int) -> dict[str, np.ndarray]:
     return plans
 
 
-# A pair or triple cap through a vertex outside circumcap's active set
-# covers at least this much more, in radians, than the smallest cap.
-_COVER_GAP = 1e-12
-# A candidate counts for the loop oracle when its cover is at most its radius plus this.
-_CAP_SLACK = 1e-12
-# The active band is at least this over sin(r), in dot: the loop oracle's arccos
-# of dots near 1 makes its covers of a small cap that noisy; see _active_tol.
-_NOISE_BAND = 2e-13
-# Below this cap radius every vertex is active; see _active_tol.
-_SMALL_CAP = 2e-3
-# A support weight at or below this is a near tie; see circumcap.
-_WEIGHT_TOL = 1e-6
-# _nearest_point stops when no vertex undercuts |x|^2 by more than this times |x|.
-_NEAREST_STOP = 1e-13
-# Candidate centres that _least_cover scores at once.
-_CAP_BLOCK = 2048
+# _nearest_point stops when no vertex undercuts |x|^2 by more than this times |x|,
+# a few ulps of 1: the support's cap is then within about this / sin(r) of the
+# smallest, r its radius, also on near-cocircular polygons.
+_NEAREST_STOP = 1e-15
 
 
 def _det(a, b, c) -> float:
@@ -189,8 +174,9 @@ def _det(a, b, c) -> float:
 def _affine_weights(P: list) -> list[float]:
     """Barycentric weights of the point of the affine hull of the 1 to 4
     points P nearest the origin: scalar closed forms for 1, 2 and 3 points;
-    for 4, whose hull is space, those of the origin, by Cramer's rule, or,
-    should they be coplanar, those of the first three and a 0."""
+    for 4, whose hull is space, those of the origin, by Cramer's rule on the
+    differences from the fourth point, or, should they be coplanar, those of
+    the first three and a 0."""
     if len(P) == 1:
         return [1.0]
     if len(P) == 2:
@@ -209,9 +195,15 @@ def _affine_weights(P: list) -> list[float]:
         s, t = (ef * af - ff * ae) / det, (ef * ae - ee * af) / det
         return [1.0 - s - t, s, t]
     a, b, c, d = P
-    w = [_det(b, c, d), -_det(a, c, d), _det(a, b, d), -_det(a, b, c)]
-    total = sum(w)
-    return [x / total for x in w] if total else [*_affine_weights(P[:3]), 0.0]
+    e, f, g = ([p[0] - d[0], p[1] - d[1], p[2] - d[2]] for p in (a, b, c))
+    det = _det(e, f, g)
+    if not det:
+        return [*_affine_weights(P[:3]), 0.0]
+    # 0 = d + la e + lb f + lc g.  The determinants of the rows themselves are
+    # near-equal on a small cap and cancel in their sum; those of the
+    # differences do not.
+    la, lb, lc = -_det(d, f, g) / det, -_det(e, d, g) / det, -_det(e, f, d) / det
+    return [la, lb, lc, 1.0 - la - lb - lc]
 
 
 def _corral_step(S: list[int], P: list[list], w: list[float]):
@@ -235,10 +227,11 @@ def _corral_step(S: list[int], P: list[list], w: list[float]):
     return S, P, beta, (x0, x1, x2)
 
 
-def _nearest_point(V: np.ndarray) -> tuple[list[int], list[float], list[list], np.ndarray, float]:
-    """The point y* of conv(V) nearest the origin, by Wolfe's algorithm
-    (Math. Programming 11, 1976; the GJK distance of Gilbert, Johnson and
-    Keerthi, 1988, solves the same problem), for the unit rows V of a polygon.
+def _nearest_point(V: np.ndarray) -> list[list]:
+    """The support of the point y* of conv(V) nearest the origin, by Wolfe's
+    algorithm (Math. Programming 11, 1976; the GJK distance of Gilbert,
+    Johnson and Keerthi, 1988, solves the same problem), for the unit rows V
+    of a polygon.
 
     It starts from the corral of the three rows least aligned with the
     rows' sum, at their mean, and runs _corral_step; on the samples of a
@@ -251,10 +244,9 @@ def _nearest_point(V: np.ndarray) -> tuple[list[int], list[float], list[list], n
     rounding can cause; in a small cap's last steps |x|^2 falls by less
     than an ulp of 1, so the fall is taken from the differences of old and
     new x.  The passes are ndarray.dot calls and the corral steps scalar
-    closed forms on rows as lists.  Returns S (row indices), its weights and
-    rows, the dots of V with the last x and |x|^2, which approximate y* and
-    |y*|^2.  Raises RuntimeError past 4n + 16 major iterations, which
-    Wolfe's finite descent never needs.
+    closed forms on rows as lists.  Returns the support, the rows of the
+    last corral, as lists in index order.  Raises RuntimeError past 4n + 16
+    major iterations, which Wolfe's finite descent never needs.
     """
     n = len(V)
     rows = V.tolist()
@@ -266,57 +258,15 @@ def _nearest_point(V: np.ndarray) -> tuple[list[int], list[float], list[list], n
         dots = V.dot((x0, x1, x2))
         j = int(dots.argmin())
         if xx - dots.item(j) <= _NEAREST_STOP * math.sqrt(xx) or j in S:
-            return S, w, P, dots, xx
+            break
         o0, o1, o2 = x0, x1, x2
         S, P, w, (x0, x1, x2) = _corral_step(S + [j], P + [rows[j]], w + [0.0])
         xx = x0 * x0 + x1 * x1 + x2 * x2
         if (o0 - x0) * (o0 + x0) + (o1 - x1) * (o1 + x1) + (o2 - x2) * (o2 + x2) <= 0.0:
-            return S, w, P, V.dot((x0, x1, x2)), xx
-    raise RuntimeError(f"nearest point of {n} vertices not found in {4 * n + 16} iterations")
-
-
-def _active_tol(support: list[list], rho: float) -> float:
-    """The width tau, in dot with the unit centre u, of the band inside the
-    boundary of the cap of cos-radius rho and support rows S in which a
-    vertex stays active.
-
-    A vertex inside the cap by the angle m lies on no other candidate cap
-    that passes the oracle's filter unless that cap's centre is at least
-    m - _CAP_SLACK from u.  A centre moved from u by d covers S at least
-    kappa d + (1 - kappa^2) cot(r) d^2 / 2 more, to second order, with
-    kappa the least over unit d of the greatest g_s . d, g_s the unit
-    tangent at u away from s: 0 for a pair, whose centre slides along its
-    bisector, and cos(theta / 2) for a triple whose tangents open a widest
-    angle theta, where cos theta = (v_i . v_j - rho^2) / (1 - rho^2).  tau
-    is sin(r) times the m at which that excess reaches _COVER_GAP, far
-    above the some 1e-14 by which rounding moves a computed cover.  At
-    r = 0.5 a pair gets tau = 5e-7 and an equilateral triple 1.4e-12.
-    Measured on random caps of r up to 1.56, a vertex inside by the angle
-    1e-8 took the oracle away from a third of the pair caps, and 1e-7 from
-    1 in 441; triples held from 2e-12 on.
-
-    tau is at least _NOISE_BAND / sin(r): the oracle takes arccos of dots
-    near 1, so its covers of a small cap move by some 1e-16 / r, and on
-    near-cocircular caps of r = 0.001 to 0.005 its winner lay up to
-    5e-15 / sin(r) inside the boundary.  Below r = 1e-3 that noise
-    reaches the oracle's 1e-12 filter slack, which then rejects candidates,
-    the smallest cap's too, at random, and its winner can lie anywhere:
-    below sin(r) = _SMALL_CAP tau is infinite, every vertex active.
-    """
-    sin2 = 1.0 - rho * rho
-    if sin2 < _SMALL_CAP * _SMALL_CAP:
-        return math.inf
-    kappa2 = 0.0
-    if len(support) == 3:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = support
-        least = min(a0 * b0 + a1 * b1 + a2 * b2, a0 * c0 + a1 * c1 + a2 * c2,
-                    b0 * c0 + b1 * c1 + b2 * c2)
-        kappa2 = max(0.0, (1.0 - 2.0 * rho * rho + least) / (2.0 * sin2))
-    sin_r = math.sqrt(sin2)
-    # The root m of kappa m + q m^2 / 2 = _COVER_GAP, q = (1 - kappa^2) cot r, in stable form.
-    q_gap = (1.0 - kappa2) * rho / sin_r * _COVER_GAP
-    m = 2.0 * _COVER_GAP / (math.sqrt(kappa2) + math.sqrt(kappa2 + 2.0 * q_gap))
-    return max(sin_r * (_CAP_SLACK + m), _NOISE_BAND / sin_r)
+            break
+    else:
+        raise RuntimeError(f"nearest point of {n} vertices not found in {4 * n + 16} iterations")
+    return [row for _, row in sorted(zip(S, P))]
 
 
 def _support_center(support: list[list]) -> np.ndarray:
@@ -333,75 +283,6 @@ def _support_center(support: list[list]) -> np.ndarray:
         q0, q1, q2 = b[0] - d[0], b[1] - d[1], b[2] - d[2]
         c = np.array([p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0])
     return c / math.sqrt(c.dot(c))
-
-
-@lru_cache(maxsize=8)
-def _index_combinations(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n) as rows, in combinations order (read-only)."""
-    rows = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.intp)
-    rows = rows.reshape(-1, k)
-    rows.flags.writeable = False
-    return rows
-
-
-def _cap_blocks(active: np.ndarray):
-    """_least_cover's blocks: the pairs, then the triples, of the increasing
-    vertex indices active, as rows, in combinations order.  A block holds
-    _CAP_BLOCK candidates, the last fewer, and may run across from pairs to
-    triples; every 23 or fewer active vertices take one."""
-    m = len(active)
-    pairs, triples = _index_combinations(m, 2), _index_combinations(m, 3)
-    for start in range(0, len(pairs) + len(triples), _CAP_BLOCK):
-        stop = start + _CAP_BLOCK
-        yield (active.take(pairs[start:stop]),
-               active.take(triples[max(start - len(pairs), 0):max(stop - len(pairs), 0)]))
-
-
-def _least_cover(V: np.ndarray, active: np.ndarray) -> tuple[float, np.ndarray]:
-    """The cover and centre of the first of the pair and triple caps of the
-    vertices active to cover the rows of V least, as the loop oracle takes them.
-
-    The candidates are every pair midpoint, in combinations order, then every
-    triple's c = (v_i - v_j) x (v_j - v_k), in combinations order; pairs and
-    triples whose direction is shorter than SEPARATION_TOL are masked out.  A
-    candidate counts when its own cap (radius to v_i) is at most pi/2 and
-    covers every row of V; of those, the first with the least cover wins.
-    The centre -c of a triple is not a candidate: c . v_i = det(v_i, v_j,
-    v_k), which is positive for i < j < k of a counterclockwise strictly
-    convex polygon, so the cap around -c has a radius above pi/2 and never
-    counts.  Each block of _cap_blocks gathers V once for its pairs and once
-    for its triples, and its cross products by one flat gather; short rows
-    are masked, not dropped.  Norms are (1x3)@(3x1) matmuls and cover dots
-    the batched gemv V @ c, as the loop oracle takes them, so the cap is bit
-    for bit its; the filter's radius, the anchor's cover entry, may differ
-    from the oracle's in last bits.
-    """
-    best_cover, best_center = math.inf, None
-    for pairs, triples in _cap_blocks(active):
-        P, T = V.take(pairs, axis=0), V.take(triples, axis=0)
-        Y = (T[:, :2] - T[:, 1:]).ravel()[_pair_plan(len(T))]
-        # Rows aligned like fresh vectors: Prescott's ddot rounds by alignment.
-        R = np.empty((len(P) + len(T), 4))[:, :3]
-        np.add(P[:, 0], P[:, 1], out=R[:len(P)])
-        np.subtract(Y[0] * Y[1], Y[2] * Y[3], out=R[len(P):])
-        norm = np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
-        keep = norm >= SEPARATION_TOL
-        C = R / np.where(keep, norm, 1.0)[:, None]
-        # [vertex, candidate]: the max over a short last axis is slow.
-        D = np.maximum((V @ C[:, :, None])[..., 0].T, -1.0, order="C")
-        A = np.arccos(np.minimum(D, 1.0))
-        cover = A.max(axis=0)
-        radius = A[np.concatenate([pairs[:, 0], triples[:, 0]]), np.arange(len(C))]
-        ok = np.flatnonzero(keep & (radius <= 0.5 * math.pi + _CAP_SLACK)
-                            & (cover <= radius + _CAP_SLACK))
-        if ok.size:
-            m = ok[np.argmin(cover[ok])]
-            # Strict: on equal covers the earlier block's candidate stays.
-            if cover[m] < best_cover:
-                best_cover, best_center = float(cover[m]), C[m].copy()
-    if best_center is None:
-        raise NoEnclosingCap("no cap of radius <= pi/2 encloses the vertices")
-    return best_cover, best_center
 
 
 class SphericalPolygon:
@@ -501,43 +382,24 @@ class SphericalPolygon:
         return float(np.add.reduce(d[0])), diameter, (float(d[-1].max()) if n % 2 else diameter)
 
     def circumcap(self) -> "Cap":
-        """Smallest spherical cap containing every vertex: of the pair and
-        triple caps the tests' loop oracle scores, the first of least cover,
-        bit for bit.
+        """Smallest spherical cap containing every vertex.
 
         The vertices lie in an open hemisphere, so the point y* of conv(V)
-        nearest the origin is not 0; the cap has centre u = y*/|y*| and
-        radius arccos |y*|.  _nearest_point finds y* and its support S, 2 or
-        3 vertices, in a few passes of n dots.  The active set A holds the
-        vertices whose dot with u is at most |y*| + _active_tol: every pair
-        or triple cap through another vertex covers _COVER_GAP more than the
-        cap, so the oracle never picks it.
-
-        Untied, A = S and every weight of S is above _WEIGHT_TOL: then the
-        vertex of least weight lies outside the pair cap of the other two by
-        more than 1e-8, over 1/100 of its weight on random caps, past the
-        oracle's filter slack; at a weight near 0 that pair cap ties the
-        cap.  S's candidate wins, and _support_center builds it and its
-        cover arccos(V @ c).max() as the oracle does.
-        Tied, as on a regular polygon, whose every vertex is active:
-        _least_cover scores the pairs, then the triples, of A, which keeps
-        the oracle's order of them, with covers over all of V, in O(|A|^3).
-        Below a radius of _SMALL_CAP every vertex is active (see
-        _active_tol): the oracle's own filter is decided by rounding there.
+        nearest the origin is not 0; the cap has centre y*/|y*| and radius
+        arccos |y*|.  _nearest_point finds the support of y*, 2 or 3
+        vertices, in a few passes of n dots; never 1, since the segment
+        between two distinct unit rows passes nearer the origin than either.
+        _support_center builds the support's pair or triple centre c with the
+        arithmetic of the tests' loop oracle, and the radius is the cover
+        arccos(V @ c).max() over every vertex, as the oracle takes it.  Where
+        the oracle's least cover is unique the cap is its bit for bit; where
+        several pair and triple caps tie to rounding, as on a regular
+        polygon, it is one of them.
         """
         V = self._array
-        support, weights, rows, dots, yy = _nearest_point(V)
-        dots = dots.tolist()
-        rho = math.sqrt(yy)
-        # From the support's own dots, so that A holds S whatever their rounding.
-        bound = max(dots[i] for i in support) + rho * _active_tol(rows, rho)
-        active = [i for i, d in enumerate(dots) if d <= bound]
-        if len(active) == len(support) and min(weights) > _WEIGHT_TOL:
-            center = _support_center([row for _, row in sorted(zip(support, rows))])
-            # Every dot is at least |y*| > 0, so the oracle's clip at -1 is idle.
-            cover = max(np.arccos(np.minimum(V @ center, 1.0)).tolist())
-        else:
-            cover, center = _least_cover(V, np.array(active))
+        center = _support_center(_nearest_point(V))
+        # Every dot is at least |y*| > 0, so the oracle's clip at -1 is idle.
+        cover = max(np.arccos(np.minimum(V @ center, 1.0)).tolist())
         center.flags.writeable = False
         return Cap(center=center, radius=cover)
 

@@ -8,7 +8,7 @@ import redsphere
 # Every name the package exports, sorted; the submodules' __all__ lists
 # build redsphere.__all__, so this pins them too.
 PUBLIC_NAMES = [
-    "Cap", "DegeneratePoint", "DomainError", "LAMBDA_GRID", "NoEnclosingCap", "NotConvex",
+    "Cap", "DegeneratePoint", "DomainError", "LAMBDA_GRID", "NotConvex",
     "NotInHemisphere", "OMEGA_GRID", "PolygonDocumentError", "RedsphereError",
     "ReducedWitness", "RegularMetrics", "SampleResult", "SamplerConfig", "SphericalPolygon",
     "Splitmix64", "TABLE1_REFERENCE", "VerificationReport", "__version__",
@@ -28,7 +28,7 @@ def test_every_exported_name_resolves():
 
 
 def test_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 46
     assert len(set(redsphere.__all__)) == len(redsphere.__all__)
     assert sorted(redsphere.__all__) == PUBLIC_NAMES
 
