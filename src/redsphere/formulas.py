@@ -43,7 +43,8 @@ HALF_PI = 0.5 * math.pi
 
 
 def _clamp(t: float) -> float:
-    return max(-1.0, min(1.0, t))
+    """t clipped to [-1, 1] by branches, without min and max calls; NaN gives 1.0."""
+    return 1.0 if not t < 1.0 else (-1.0 if t < -1.0 else t)
 
 
 def _check_thickness(thickness: float) -> None:

@@ -306,14 +306,14 @@ class SphericalPolygon:
             raise DomainError(f"vertices are not an (n, 3) array of numbers: {exc}") from exc
         if V.ndim != 2 or V.shape[1] != 3:
             raise DomainError(f"vertices must be an (n, 3) array, got shape {V.shape}")
-        x, y, z = V.T
         with np.errstate(over="ignore"):
-            norm = np.sqrt((x * x + y * y) + z * z)
-        bad = np.flatnonzero(~np.isfinite(norm))
-        if bad.size:
-            raise DomainError(f"vertex {bad[0]} has a non-finite norm ({norm[bad[0]]})")
-        short = np.flatnonzero(norm < SEPARATION_TOL)
-        if short.size:
+            norm = _norm_rows(V)
+        # A NaN norm fails both comparisons; the diagnostics run only on failure.
+        if not ((norm >= SEPARATION_TOL) & (norm < math.inf)).all():
+            bad = np.flatnonzero(~np.isfinite(norm))
+            if bad.size:
+                raise DomainError(f"vertex {bad[0]} has a non-finite norm ({norm[bad[0]]})")
+            short = np.flatnonzero(norm < SEPARATION_TOL)
             raise DegeneratePoint(f"vector too short to normalize (norm={float(norm[short[0]])!r})")
         if len(V) < 3:
             raise DomainError(f"need at least 3 vertices, got {len(V)}")
@@ -321,10 +321,9 @@ class SphericalPolygon:
         n = len(V)
         nxt, _, _, on_side = _ring_indices(n)
         # Neighbour dots by matmul, which rounds like the 1-D dot product.
-        nxt_dots = (V[:, None, :] @ V[nxt, :, None])[:, 0, 0]
-        touching = np.flatnonzero(np.abs(nxt_dots) >= 1.0 - SEPARATION_TOL)
-        if touching.size:
-            first = int(touching[0])
+        nxt_dots = np.abs((V[:, None, :] @ V[nxt, :, None])[:, 0, 0])
+        if np.maximum.reduce(nxt_dots) >= 1.0 - SEPARATION_TOL:
+            first = int(np.flatnonzero(nxt_dots >= 1.0 - SEPARATION_TOL)[0])
             raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
         # Unit poles of the sides (v_j, v_k) opposite each vertex: for every n,
         # even too, the n edges once each.

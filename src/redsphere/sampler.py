@@ -27,6 +27,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+# Private, but every numpy since 1.8 ships it: the gufuncs np.linalg wraps.
+from numpy.linalg import _umath_linalg
 
 from .errors import RedsphereError
 from .formulas import regular_metrics
@@ -246,11 +248,16 @@ def _damped_step(J: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
     It is the least-squares solution of [J; sqrt(mu) I] d = [-r; 0].  The
     step must depend on J's values only, and a product with a transposed
     view rounds differently, so a J that is not C-ordered is copied first.
+    The solve is the LAPACK gesv gufunc under numpy's solve, without its
+    wrapper: the same bytes.  A singular system gives NaN and an "invalid
+    value" warning, not LinAlgError; but with mu >= _MU_FLOOR and a finite J
+    the system is positive definite, and a non-finite J gives a NaN step
+    from either call, which the trial test rejects.
     """
     J = np.ascontiguousarray(J)
     G = J @ J.T
-    G.flat[::G.shape[0] + 1] += mu
-    return J.T @ np.linalg.solve(G, -r)
+    G.reshape(-1)[::G.shape[0] + 1] += mu
+    return J.T @ _umath_linalg.solve1(G, -r)
 
 
 def sample_reduced(cfg: SamplerConfig) -> SampleResult:

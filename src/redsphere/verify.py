@@ -123,8 +123,9 @@ class VerificationReport(NamedTuple):
 def _report(claim_id: str, inputs: str, measured: float, bound: float,
             tolerance: float, relation: str) -> VerificationReport:
     residual = measured - bound
-    return VerificationReport(claim_id, inputs, measured, bound, residual,
-                              _RELATIONS[relation](residual, tolerance), tolerance)
+    # The row without the keyword __new__ that NamedTuple generates.
+    return tuple.__new__(VerificationReport, (claim_id, inputs, measured, bound, residual,
+                                              _RELATIONS[relation](residual, tolerance), tolerance))
 
 
 def _sample_tag(sample: SampleResult) -> str:

@@ -26,6 +26,7 @@ from redsphere import (
     regular_triangle_half_angle,
     x_limit,
 )
+from redsphere.formulas import _clamp
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -252,3 +253,22 @@ class TestBounds:
             half = 0.5 * diameter_bound(omega)
             expected = math.asin(2.0 / math.sqrt(3.0) * math.sin(half))
             assert covering_radius_bound(omega) == pytest.approx(expected, abs=1e-10)
+
+
+def reference_clamp(t):
+    """The clamp the formulas used before their branch form."""
+    return max(-1.0, min(1.0, t))
+
+
+class TestClamp:
+    # Float.hex tells the zeros' signs apart; NaN clamps to 1.0 on both sides.
+    @pytest.mark.parametrize("t", [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan,
+                                   5e-324, -5e-324, 2.0**-1022 - 5e-324, 0.5, -0.5,
+                                   math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0),
+                                   math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0)])
+    def test_edge_values(self, t):
+        assert _clamp(t).hex() == reference_clamp(t).hex()
+
+    @given(st.floats())
+    def test_float_sweep(self, t):
+        assert _clamp(t).hex() == reference_clamp(t).hex()

@@ -418,6 +418,28 @@ class TestFromArray:
         with pytest.raises(DomainError, match=f"vertex 3 has a non-finite norm \\({bad}\\)"):
             SphericalPolygon(V)
 
+    @pytest.mark.parametrize("case, error, message", [
+        ("short", DegeneratePoint, "vector too short to normalize (norm=1e-13)"),
+        ("short-then-nan", DomainError, "vertex 4 has a non-finite norm (nan)"),
+        ("coincident", NotConvex, "vertices 4 and 0 coincident or antipodal"),
+        ("antipodal", NotConvex, "vertices 1 and 2 coincident or antipodal"),
+    ])
+    def test_each_rejection_keeps_its_message(self, case, error, message):
+        # A passing polygon skips the diagnostics; a failing one runs them and
+        # names the first offending row or pair.
+        V = build_regular(5, QUARTER_PI).as_array()
+        if case.startswith("short"):
+            V[2] = [1e-13, 0.0, 0.0]
+            if case == "short-then-nan":
+                V[4, 2] = math.nan
+        elif case == "coincident":
+            V[4] = V[0]
+        else:
+            V[2], V[4] = -V[1], V[0]
+        with pytest.raises(error) as info:
+            SphericalPolygon(V)
+        assert str(info.value) == message
+
 
 class TestOppositeSide:
     def test_triangle(self):

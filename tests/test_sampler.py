@@ -471,3 +471,22 @@ class TestDampedStep:
         J[1] = J[0]
         step = sampler._damped_step(J, r, sampler._MU_FLOOR)
         assert step.shape == (J.shape[1],) and np.all(np.isfinite(step))
+
+    def test_equals_the_numpy_solve_bit_for_bit(self, sample_grid, monkeypatch):
+        # The gesv gufunc without np.linalg.solve's wrapper; G built as the step builds it.
+        for J, r in _grid_step_inputs(sample_grid, monkeypatch):
+            for mu in self.MUS:
+                G = J @ J.T
+                G.flat[::G.shape[0] + 1] += mu
+                assert np.array_equal(sampler._damped_step(J, r, mu),
+                                      J.T @ np.linalg.solve(G, -r))
+
+    def test_singular_system_gives_a_nan_step_not_an_error(self, sample_grid, monkeypatch):
+        # np.linalg.solve raises LinAlgError here; mu = 0 is below any damping
+        # the loop reaches, and the trial test rejects a NaN step.
+        J, r = _grid_step_inputs(sample_grid, monkeypatch, per_cell=1)[0]
+        J = J.copy()
+        J[1] = J[0]
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            step = sampler._damped_step(J, r, 0.0)
+        assert step.shape == (J.shape[1],) and not np.isfinite(step).any()

@@ -322,6 +322,19 @@ class TestRowContract:
             assert r == tuple(getattr(r, name) for name in COLUMNS)
             assert r.to_dict() == {name: getattr(r, name) for name in COLUMNS}
 
+    def test_grid_rows_are_keyword_built_rows(self, sample_grid):
+        # _report builds rows by tuple.__new__, past NamedTuple's keyword __new__.
+        samples = [s for batch in sample_grid.cells.values() for s in batch[:4]]
+        samples += [s for batch in sample_grid.cells.values() for s in batch
+                    if not s.converged][:6]
+        reports = full_suite(samples)
+        assert {"sample-rejected", "reduced-check", "perimeter-min"} <= {
+            r.claim_id for r in reports}
+        for r in reports:
+            assert type(r) is VerificationReport
+            assert r == VerificationReport(*r) == VerificationReport(**r._asdict())
+            assert tuple(r._asdict()) == COLUMNS
+
     def test_serializers_match_the_column_oracle(self, crooked_sample, rejected_sample):
         reports = _contract_rows(crooked_sample, rejected_sample)
         assert reports_to_json(reports) == _oracle_json(reports)
