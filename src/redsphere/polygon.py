@@ -90,30 +90,6 @@ def _angles(X: np.ndarray) -> np.ndarray:
     return np.arctan2(_norm_rows(_cross(X, _pair_plan(len(X)))), _dots(X[:, 0], X[:, 1]))
 
 
-@lru_cache(maxsize=32)
-def _ring_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per vertex i of an n-gon: the next vertex i + 1, and the ends
-    i + (n - 1)/2 and i + (n + 1)/2 of the opposite side, all mod n; and the
-    mask [i, m] of v_i being an end of the side opposite v_m (read-only)."""
-    i = np.arange(n)
-    j, k = (i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n
-    out = ((i + 1) % n, j, k, (i[:, None] == j) | (i[:, None] == k))
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=32)
-def _gap_pairs(n: int) -> np.ndarray:
-    """Rows (a, b) of the vertex pairs (i, i + g mod n) of an n-gon, by gap
-    g = 1..n//2, then by i = 0..n - 1 (read-only).  Every pair comes once,
-    but those of gap n/2 of an even n twice."""
-    i = np.arange(n)
-    pairs = np.stack([np.tile(i, n // 2), ((i + np.arange(1, n // 2 + 1)[:, None]) % n).ravel()], 1)
-    pairs.flags.writeable = False
-    return pairs
-
-
 @lru_cache(maxsize=8)
 def _pair_plan(m: int) -> np.ndarray:
     """cross_plan of the rows X[r, 0] x X[r, 1] of a raveled (m, 2, 3) array
@@ -124,12 +100,17 @@ def _pair_plan(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _plans(n: int) -> dict[str, np.ndarray]:
-    """Index plans of an n-gon (read-only): cross_plan of the side poles
-    v_j x v_k, then those of _measure_reduced's stages on the base arrays
-    named here: row pairs, taken as an (m, 2, 3) array, and cross_plans."""
+def index_table(n: int) -> dict[str, np.ndarray]:
+    """Every index an n-gon's kernels read (read-only).  Per vertex i: NEXT,
+    i + 1, and NEAR and FAR, the ends j = i + (n - 1)/2 and k = i + (n + 1)/2
+    of its opposite side, all mod n; ON_SIDE, the mask [i, m] of v_i being an
+    end of the side opposite v_m.  GAP_PAIRS: the rows (i, i + g mod n) by gap
+    g = 1..n//2, then by i, every pair once but those of gap n/2 of an even n
+    twice.  SIDES: the cross_plan of the side poles v_j x v_k.  Then the plans
+    of _measure_reduced's stages on the base arrays named here: row pairs,
+    taken as an (m, 2, 3) array, and cross_plans."""
     i = np.arange(n)
-    nxt, j, k, _ = _ring_indices(n)
+    nxt, j, k = (i + 1) % n, (i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n
 
     def pairs(*ends):
         return np.stack([np.concatenate(ends[0::2]), np.concatenate(ends[1::2])], axis=1)
@@ -137,7 +118,11 @@ def _plans(n: int) -> dict[str, np.ndarray]:
     def row(block, index=i):
         return block * n + index
 
-    plans = {
+    table = {
+        "NEXT": nxt, "NEAR": j, "FAR": k,
+        "ON_SIDE": (i[:, None] == j) | (i[:, None] == k),
+        "GAP_PAIRS": np.stack([np.tile(i, n // 2),
+                               ((i + np.arange(1, n // 2 + 1)[:, None]) % n).ravel()], 1),
         "SIDES": cross_plan(j, k),
         # A, on [V, P]: v . p, v . v_{i+1}; p x v_j.
         "A_DOTS": pairs(i, row(1), i, nxt),
@@ -155,9 +140,9 @@ def _plans(n: int) -> dict[str, np.ndarray]:
         "ANGLES": pairs(i, row(1), j, k, row(5), row(6), row(6), row(7), row(2), row(3, k),
                         row(8), row(9), i, row(1, k), row(1), k, row(4), row(1)),
     }
-    for a in plans.values():
+    for a in table.values():
         a.flags.writeable = False
-    return plans
+    return table
 
 
 # _nearest_point stops when no vertex undercuts |x|^2 by more than this times |x|,
@@ -319,18 +304,18 @@ class SphericalPolygon:
             raise DomainError(f"need at least 3 vertices, got {len(V)}")
         V = V / norm[:, None]
         n = len(V)
-        nxt, _, _, on_side = _ring_indices(n)
+        table = index_table(n)
         # Neighbour dots by matmul, which rounds like the 1-D dot product.
-        nxt_dots = np.abs((V[:, None, :] @ V[nxt, :, None])[:, 0, 0])
+        nxt_dots = np.abs((V[:, None, :] @ V[table["NEXT"], :, None])[:, 0, 0])
         if np.maximum.reduce(nxt_dots) >= 1.0 - SEPARATION_TOL:
             first = int(np.flatnonzero(nxt_dots >= 1.0 - SEPARATION_TOL)[0])
             raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
         # Unit poles of the sides (v_j, v_k) opposite each vertex: for every n,
         # even too, the n edges once each.
-        P = _cross(V, _plans(n)["SIDES"])
+        P = _cross(V, table["SIDES"])
         P /= _norm_rows(P)[:, None]
         dots = V @ P.T  # [vertex, side opposite vertex m]
-        if not ((dots > SEPARATION_TOL) | on_side).all():
+        if not ((dots > SEPARATION_TOL) | table["ON_SIDE"]).all():
             raise NotConvex("vertex on the wrong side of an edge circle "
                             "(polygon non-convex or ordered clockwise)")
         centroid = np.add.reduce(V, axis=0) / n
@@ -367,7 +352,7 @@ class SphericalPolygon:
     def lengths(self) -> tuple[float, float, float]:
         """Perimeter, diameter and restricted diameter, from one pair pass.
 
-        It takes the angles of the pairs of _gap_pairs from one gather of V
+        It takes the angles of index_table's GAP_PAIRS from one gather of V
         and one _angles call.  The perimeter sums the edges, the pairs of gap
         1, in order i = 0..n - 1.  The restricted diameter scans the pairs
         (i, i + (n - 1)/2) of odd n alone: each vertex with one end of its
@@ -376,7 +361,8 @@ class SphericalPolygon:
         For even n it is the diameter.
         """
         n = self.n
-        d = _angles(self._array.take(_gap_pairs(n), axis=0)).reshape(-1, n)  # [gap - 1, vertex]
+        # [gap - 1, vertex]
+        d = _angles(self._array.take(index_table(n)["GAP_PAIRS"], axis=0)).reshape(-1, n)
         diameter = float(d.max())
         return float(np.add.reduce(d[0])), diameter, (float(d[-1].max()) if n % 2 else diameter)
 
@@ -512,7 +498,7 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     2 max(-s, s - D, 0), so a slack of ON_ARC_TOL on that arc-length sum
     allows s in [-ON_ARC_TOL/2, D + ON_ARC_TOL/2].
 
-    Four stages each gather from one base array, through _plans, their dots
+    Four stages each gather from one base array, through index_table, their dots
     (one take of row pairs, one einsum) and cross products (one flat gather).
     A: the heights v . p, v . v_{i+1} and S = p x v_j, the side's tangent at
     v_j.  B: v . t, v . v_k, v_k . t, t . S, t . v_j and the spoke poles
@@ -532,33 +518,33 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
         return _failed(polygon, math.nan, f"not an odd-gon: n={n}")
 
     V, P = polygon._array, polygon._poles
-    plans = _plans(n)
-    k = _ring_indices(n)[2]
+    table = index_table(n)
+    k = table["FAR"]
     # Heights by an einsum, not the diagonal of _side_dots, which can round differently.
     W = np.concatenate([V, P])
-    X = W.take(plans["A_DOTS"], axis=0)
+    X = W.take(table["A_DOTS"], axis=0)
     h, v_next = _dots(X[:, 0], X[:, 1]).reshape(2, n)
     if _degenerate(h):
         return _failed(polygon, math.inf, "point coincides with a circle pole")
-    S = _cross(W, plans["A_CROSS"])
+    S = _cross(W, table["A_CROSS"])
     F = V - h[:, None] * P
     F /= _norm_rows(F)[:, None]
 
     W = np.concatenate([V, F, S])
-    X = W.take(plans["B_DOTS"], axis=0)
+    X = W.take(table["B_DOTS"], axis=0)
     d = _dots(X[:, 0], X[:, 1])
     vf, vk, kf, fs, fj = d.reshape(5, n)
     if _degenerate(d[:2 * n]):
         return _failed(polygon, math.inf, _NO_ANGLE)
-    Q = _cross(W, plans["B_CROSS"])
+    Q = _cross(W, table["B_CROSS"])
     Q /= _norm_rows(Q)[:, None]
 
-    Y = _cross(np.concatenate([Q, V]), plans["C_CROSS"])
+    Y = _cross(np.concatenate([Q, V]), table["C_CROSS"])
     C, T = Y[:n], Y[n:]
     c_norm = _norm_rows(C)
     crosses = c_norm >= SEPARATION_TOL
     O = C / np.where(crosses, c_norm, 1.0)[:, None]
-    X = np.concatenate([O, V, T, F]).take(plans["C_DOTS"], axis=0)
+    X = np.concatenate([O, V, T, F]).take(table["C_DOTS"], axis=0)
     od = _dots(X[:, 0], X[:, 1]).reshape(5, n)
     sign = np.where(od[0] < 0.0, -1.0, 1.0)
     O *= sign[:, None]
@@ -569,9 +555,9 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     # t_i.  The vertical angle at a crossing, between its rays toward v_i and
     # t_k, is the angle between q_i and -q_k for either sign.
     W = np.concatenate([V, F, Q, -Q, O])
-    X = W.take(plans["TANGENTS"], axis=0)
+    X = W.take(table["TANGENTS"], axis=0)
     U = X[:, 0] - np.concatenate([v_next, vf, vk, vk, kf])[:, None] * X[:, 1]
-    ang = _angles(np.concatenate([W, U]).take(plans["ANGLES"], axis=0))
+    ang = _angles(np.concatenate([W, U]).take(table["ANGLES"], axis=0))
     dist, side, alpha, beta, phi, far, near_arc, far_arc, o_foot = ang.reshape(9, n)
     theta, s_i, s_k = np.arctan2(np.concatenate([fs, ot, ot_k]),
                                  np.concatenate([fj, ov, ov_k])).reshape(3, n)

@@ -32,7 +32,8 @@ from numpy.linalg import _umath_linalg
 
 from .errors import RedsphereError
 from .formulas import regular_metrics
-from .polygon import REDUCED_TOL, ReducedWitness, SphericalPolygon, cross_plan, reduced_check
+from .polygon import (REDUCED_TOL, ReducedWitness, SphericalPolygon, cross_plan, index_table,
+                      reduced_check)
 
 __all__ = ["Splitmix64", "SamplerConfig", "SampleResult", "sample_reduced", "sample_batch"]
 
@@ -141,14 +142,15 @@ class _Point(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _plan(n: int) -> dict[str, np.ndarray]:
-    """Index plans of _residual and _jacobian for n-gons (read-only).
+    """Index plans of _residual and _jacobian for n-gons (read-only).  The side
+    ends j and k and "CROSS", the side poles' cross_plan, are index_table's.
 
     The trig table is [sin(angles), cos(angles), 1, -1, 0] over the angles
     (colat_0..colat_{n-1}, lon_1..lon_{n-1}, lon_0); "FACTORS" picks, per
     entry of F, the three table entries whose product it is.
     """
-    i = np.arange(n)
-    j, k = (i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n
+    ring = index_table(n)
+    i, j, k = np.arange(n), ring["NEAR"], ring["FAR"]
     lon = np.where(i == 0, 2 * n - 1, n - 1 + i)
     sin_t, sin_l, cos_t, cos_l = i, lon, 2 * n + i, 2 * n + lon
     one, neg, zero = 4 * n, 4 * n + 1, 4 * n + 2
@@ -175,7 +177,7 @@ def _plan(n: int) -> dict[str, np.ndarray]:
     n_params = 2 * n - 1
     plan = {
         "FACTORS": factors,
-        "CROSS": cross_plan(j, k),
+        "CROSS": ring["SIDES"],
         # Rows of [V; u]: v_k x u_i, then u_i x v_j.
         "GRAD_CROSS": cross_plan(np.concatenate([k, n + i]),
                                  np.concatenate([n + i, j])).reshape(4, -1),

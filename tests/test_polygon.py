@@ -52,7 +52,8 @@ from redsphere import (
     save_polygon,
 )
 from redsphere import polygon as polygon_module
-from redsphere.polygon import EDGE_EPS, REDUCED_TOL, _ring_indices
+from redsphere import sampler as sampler_module
+from redsphere.polygon import EDGE_EPS, REDUCED_TOL, index_table
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -86,6 +87,13 @@ def opposite_side(i: int, n: int) -> tuple[int, int]:
     if not 0 <= i < n:
         raise DomainError(f"vertex index {i!r} outside range(0, {n})")
     return ((i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n)
+
+
+def ring_closed_form(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per vertex i of an n-gon, odd or even: the next vertex i + 1 and
+    opposite_side's closed form, all mod n."""
+    i = np.arange(n)
+    return (i + 1) % n, (i + (n - 1) // 2) % n, (i + (n + 1) // 2) % n
 
 
 def arc_parameter(arc: Arc, p: SpherePoint) -> float:
@@ -462,6 +470,35 @@ class TestOppositeSide:
             opposite_side(5, 5)
 
 
+@pytest.mark.parametrize("n", range(3, 26))
+class TestIndexTable:
+    """index_table against closed forms, for odd and even n; its stage plans
+    are pinned by reduced_check's oracle tests."""
+
+    def test_entries_match_closed_forms(self, n):
+        table = index_table(n)
+        nxt, j, k = ring_closed_form(n)
+        if n % 2:
+            assert list(zip(j.tolist(), k.tolist())) == [opposite_side(i, n) for i in range(n)]
+        for key, want in (("NEXT", nxt), ("NEAR", j), ("FAR", k)):
+            assert np.array_equal(table[key], want), key
+        on_side = [[i in (j[m], k[m]) for m in range(n)] for i in range(n)]
+        assert np.array_equal(table["ON_SIDE"], on_side)
+        gap_pairs = [(i, (i + g) % n) for g in range(1, n // 2 + 1) for i in range(n)]
+        assert np.array_equal(table["GAP_PAIRS"], gap_pairs)
+        V = np.random.default_rng(n).normal(size=(n, 3))
+        assert np.array_equal(polygon_module._cross(V, table["SIDES"]), np.cross(V[j], V[k]))
+
+    def test_entries_are_read_only(self, n):
+        for a in index_table(n).values():
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
+    def test_sampler_reads_the_tables_sides(self, n):
+        # Uncached, so that the plan is built on the table cached now.
+        assert sampler_module._plan.__wrapped__(n)["CROSS"] is index_table(n)["SIDES"]
+
+
 class TestBuildRegular:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     @pytest.mark.parametrize("omega", [math.pi / 8, math.pi / 6, QUARTER_PI, math.pi / 3])
@@ -784,7 +821,7 @@ def separate_lengths(P):
     """Perimeter, diameter and restricted diameter from three row_angles calls,
     the oracle of the one pair pass of lengths()."""
     V = P.as_array()
-    nxt, j, _, _ = _ring_indices(P.n)
+    nxt, j, _ = ring_closed_form(P.n)
     a, b = _index_combinations(P.n, 2).T
     diameter = float(np.max(row_angles(V[a], V[b])))
     restricted = float(np.max(row_angles(V, V[j]))) if P.n % 2 else diameter
@@ -794,7 +831,7 @@ def separate_lengths(P):
 def fresh_poles(V):
     """Unit poles v_j x v_k of the sides opposite each vertex, computed with
     np.cross and np.linalg.norm, which the constructor's kernels match bit for bit."""
-    _, j, k, _ = _ring_indices(len(V))
+    _, j, k = ring_closed_form(len(V))
     P = np.cross(V[j], V[k])
     return P / np.linalg.norm(P, axis=1)[:, None]
 
