@@ -5,7 +5,7 @@ failures in one clause.  DomainError doubles as a ValueError because it
 signals an argument outside a function's mathematical domain.
 """
 
-__all__ = ["RedsphereError", "DomainError", "DegeneratePoint", "NotConvex", "NotInHemisphere",
+__all__ = ["RedsphereError", "DomainError", "DegeneratePoint", "NotConvex",
            "PolygonDocumentError"]
 
 
@@ -23,10 +23,6 @@ class DegeneratePoint(RedsphereError):
 
 class NotConvex(RedsphereError):
     """Vertex list is not a strictly convex counterclockwise polygon."""
-
-
-class NotInHemisphere(RedsphereError):
-    """No open-hemisphere witness found for the vertex set."""
 
 
 class PolygonDocumentError(RedsphereError):

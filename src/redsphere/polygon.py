@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import formulas
-from .errors import DegeneratePoint, DomainError, NotConvex, NotInHemisphere, PolygonDocumentError
+from .errors import DegeneratePoint, DomainError, NotConvex, PolygonDocumentError
 
 __all__ = [
     "SphericalPolygon",
@@ -38,8 +38,10 @@ __all__ = [
 EDGE_EPS = 1e-9
 # Default tolerance on the spread of vertex-to-opposite-side distances.
 REDUCED_TOL = 1e-7
-# Unit-vector tolerance: the |dot| separation bound, sign-test margin and shortest row normalized.
+# Unit-vector tolerance: the sign-test margin and shortest row normalized.
 SEPARATION_TOL = 1e-12
+# Floor on an edge's sine |v x u|: sin(arccos(1 - SEPARATION_TOL)), neighbours' least angle.
+SEPARATION_SINE = math.sqrt(SEPARATION_TOL * (2.0 - SEPARATION_TOL))
 # Slack on d(a, p) + d(p, b) - d(a, b) when p counts as on the closed arc (a, b);
 # reduced_check turns it into a slack on the signed arc parameter.
 ON_ARC_TOL = 1e-9
@@ -284,6 +286,10 @@ class SphericalPolygon:
         (x*x + y*y) + z*z, in that order, so the tests' scalar point oracle
         gives the same unit vector bit for bit.  A row whose norm is NaN or
         infinite, including one whose squares overflow, raises DomainError.
+        Each edge's sine, its pole's norm, must exceed SEPARATION_SINE, and each
+        vertex off a side lie above its circle by more than SEPARATION_TOL.  Then
+        the sum c of the unit poles witnesses an open hemisphere, untested: in exact
+        arithmetic v_i . c sums row i of the dots, 0 on the two sides through v_i.
         """
         try:
             V = np.asarray(V, dtype=float)
@@ -305,24 +311,17 @@ class SphericalPolygon:
         V = V / norm[:, None]
         n = len(V)
         table = index_table(n)
-        # Neighbour dots by matmul, which rounds like the 1-D dot product.
-        nxt_dots = np.abs((V[:, None, :] @ V[table["NEXT"], :, None])[:, 0, 0])
-        if np.maximum.reduce(nxt_dots) >= 1.0 - SEPARATION_TOL:
-            first = int(np.flatnonzero(nxt_dots >= 1.0 - SEPARATION_TOL)[0])
-            raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
-        # Unit poles of the sides (v_j, v_k) opposite each vertex: for every n,
-        # even too, the n edges once each.
+        # Poles of the sides (v_j, v_k) opposite each vertex, the n edges once each.
         P = _cross(V, table["SIDES"])
-        P /= _norm_rows(P)[:, None]
+        sines = _norm_rows(P)
+        if np.minimum.reduce(sines) <= SEPARATION_SINE:
+            first = int(table["NEAR"][sines <= SEPARATION_SINE].min())
+            raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
+        P /= sines[:, None]
         dots = V @ P.T  # [vertex, side opposite vertex m]
         if not ((dots > SEPARATION_TOL) | table["ON_SIDE"]).all():
             raise NotConvex("vertex on the wrong side of an edge circle "
                             "(polygon non-convex or ordered clockwise)")
-        centroid = np.add.reduce(V, axis=0) / n
-        # np.linalg.norm's formula for a vector.
-        norm = math.sqrt(centroid.dot(centroid))
-        if norm < SEPARATION_TOL or not (V @ (centroid / norm) > SEPARATION_TOL).all():
-            raise NotInHemisphere("no open hemisphere contains every vertex")
         V.flags.writeable = P.flags.writeable = dots.flags.writeable = False
         # The convexity test's poles and dots, for thickness and reduced_check.
         self._array, self._poles, self._side_dots = V, P, dots

@@ -3,6 +3,7 @@
 import json
 import math
 import timeit
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from typing import Optional
@@ -36,7 +37,6 @@ from redsphere import (
     DegeneratePoint,
     DomainError,
     NotConvex,
-    NotInHemisphere,
     PolygonDocumentError,
     ReducedWitness,
     SamplerConfig,
@@ -53,7 +53,7 @@ from redsphere import (
 )
 from redsphere import polygon as polygon_module
 from redsphere import sampler as sampler_module
-from redsphere.polygon import EDGE_EPS, REDUCED_TOL, index_table
+from redsphere.polygon import EDGE_EPS, REDUCED_TOL, SEPARATION_TOL, index_table
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -69,6 +69,21 @@ def _index_combinations(n: int, k: int) -> np.ndarray:
 
 def _ring(colat, lons):
     return [spherical_row(colat, lon) for lon in lons]
+
+
+# A counterclockwise triangle with an edge of sine 1.8e-6, found by a seeded search.
+SHORT_EDGE_TRIANGLE = [
+    [0.28123042982314317, -0.8832669714760405, 0.37516516688124524],
+    [0.6422124118771461, -0.6281146930992799, -0.43935765652112513],
+    [0.642212222691772, -0.6281158586291776, -0.43935626678565],
+]
+
+
+def _exact_det(V) -> Fraction:
+    """det of the (3, 3) array V, in exact rational arithmetic on its floats."""
+    a, b, c = ([Fraction(float(x)) for x in row] for row in V)
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
 def _points(polygon: SphericalPolygon) -> list[SpherePoint]:
@@ -303,6 +318,54 @@ class TestConstruction:
         P = SphericalPolygon(points)
         witness = SpherePoint(0.0, 0.0, 1.0)
         assert all(distance(witness, v) < 0.5 * math.pi for v in _points(P))
+        # A triangle lies in an open hemisphere exactly when its rows are
+        # independent: c = V^-1 1 has V c = 1.  This thin one, two vertices near
+        # the antipode of the first, misses the hemisphere about its centroid.
+        t = 0.3
+        V = SphericalPolygon([[0.0, 0.0, 1.0], [math.sin(t), 0.0, -math.cos(t)],
+                              [math.sin(t) * math.cos(1.0), math.sin(t) * math.sin(1.0),
+                               -math.cos(t)]])._array
+        assert _exact_det(V) > 0
+        assert (V @ np.linalg.solve(V, np.ones(3)) > 0.5).all()
+        assert not (V @ np.add.reduce(V, axis=0) > 0).all()
+        # The sum of the unit poles witnesses every accepted polygon in exact
+        # arithmetic only.  Beside an edge of sine 1.8e-6, the rounded dots on
+        # that edge's circle are -3.3e-11, past the 1.3e-12 above the far one:
+        # the rounded row sums are negative, yet the triangle is counterclockwise.
+        P = SphericalPolygon(SHORT_EDGE_TRIANGLE)
+        assert _exact_det(P._array) > 0
+        assert (np.add.reduce(P._side_dots, axis=1)[1:] < 0).all()
+        # Wide, thin and near-great-circle rings, both ways round: every one
+        # built has positive rounded row sums and the kept arrays of the oracles,
+        # and the fuzz builds some whose centroid misses a vertex's hemisphere.
+        rng = np.random.default_rng(29)
+        built = centroid_misses = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 32))
+            lons = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=n))
+            if rng.uniform() < 0.5:
+                colat = rng.uniform(0.05, 3.1) * (1.0 + 1e-4 / n ** 2 * rng.uniform(-1.0, 1.0, n))
+            else:
+                colat = 0.5 * math.pi - 10.0 ** rng.uniform(-11.0, -2.0) * rng.uniform(0.9, 1.0, n)
+            rows = np.array([spherical_row(c, lon) for c, lon in zip(colat, lons)])
+            for W in (rows, rows[::-1]):
+                try:
+                    P = SphericalPolygon(W)
+                except NotConvex as exc:
+                    # The neighbour floor fires where |v_i . v_{i+1}| reaches 1 - SEPARATION_TOL.
+                    U = reference_rows(W)
+                    near = np.abs(np.einsum("ij,ij->i", U, np.roll(U, -1, axis=0)))
+                    assert ("coincident" in str(exc)) == (near.max() >= 1.0 - SEPARATION_TOL)
+                    continue
+                V = P._array
+                assert (np.add.reduce(P._side_dots, axis=1) > 0).all()
+                assert V.tobytes() == reference_rows(W).tobytes()
+                assert P._poles.tobytes() == fresh_poles(V).tobytes()
+                assert P._side_dots.tobytes() == (V @ fresh_poles(V).T).tobytes()
+                built += 1
+                c = np.add.reduce(V, axis=0)
+                centroid_misses += not (V @ (c / np.linalg.norm(c)) > SEPARATION_TOL).all()
+        assert built >= 150 and centroid_misses >= 50
 
     def test_equality_and_repr(self, pentagon):
         clone = build_regular(5, QUARTER_PI)
@@ -375,8 +438,7 @@ class TestFromArray:
         V[2, 0] = np.nextafter(V[2, 0], 1.0)
         assert SphericalPolygon(V) != pentagon
 
-    @pytest.mark.parametrize("case", ["degenerate", "few", "coincident", "clockwise",
-                                      "hemisphere"])
+    @pytest.mark.parametrize("case", ["degenerate", "few", "coincident", "clockwise"])
     def test_same_errors_as_the_object_path(self, case):
         V = build_regular(5, QUARTER_PI).as_array()
         if case == "degenerate":
@@ -385,18 +447,12 @@ class TestFromArray:
             V[2] = V[1]
         elif case == "few":
             V = V[:2]
-        elif case == "clockwise":
-            V = V[::-1]
         else:
-            # Counterclockwise and convex, but two vertices near the antipode of the first.
-            t = 0.3
-            V = np.array([[0.0, 0.0, 1.0], [math.sin(t), 0.0, -math.cos(t)],
-                          [math.sin(t) * math.cos(1.0), math.sin(t) * math.sin(1.0),
-                           -math.cos(t)]])
+            V = V[::-1]
         got = _raised(SphericalPolygon, V)
         assert got == _raised(_reference_build, V)
         want = {"degenerate": DegeneratePoint, "few": DomainError, "coincident": NotConvex,
-                "clockwise": NotConvex, "hemisphere": NotInHemisphere}[case]
+                "clockwise": NotConvex}[case]
         assert issubclass(got[0], want)
         if case == "coincident":
             assert got[1] == "vertices 1 and 2 coincident or antipodal"
@@ -447,6 +503,29 @@ class TestFromArray:
         with pytest.raises(error) as info:
             SphericalPolygon(V)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("i", [1, 4])
+    @pytest.mark.parametrize("scale", [0.99, 1.01])
+    @pytest.mark.parametrize("antipodal", [False, True], ids=["near", "antipodal"])
+    def test_neighbour_floor_is_the_dot_floor(self, i, scale, antipodal):
+        # v_{i+1} at scale times arccos(1 - SEPARATION_TOL) from v_i, or from its
+        # antipode, toward where it was: rejected below the floor, naming the
+        # pair; above it, the near pair builds and the antipodal one is not convex.
+        V = build_regular(5, QUARTER_PI).as_array()
+        v, w = V[i], V[(i + 1) % 5]
+        u = w - (v @ w) * v
+        d = scale * math.acos(1.0 - SEPARATION_TOL)
+        V[(i + 1) % 5] = math.cos(d) * v + math.sin(d) * u / np.linalg.norm(u)
+        if antipodal:
+            V[(i + 1) % 5] *= -1.0
+        if scale > 1 and not antipodal:
+            assert SphericalPolygon(V).n == 5
+            return
+        with pytest.raises(NotConvex) as info:
+            SphericalPolygon(V)
+        assert str(info.value) == (
+            f"vertices {i} and {(i + 1) % 5} coincident or antipodal" if scale < 1 else
+            "vertex on the wrong side of an edge circle (polygon non-convex or ordered clockwise)")
 
 
 class TestOppositeSide:
@@ -847,19 +926,16 @@ def _random_rings(count, seed):
     """Polygons of 3 to 101 vertices at random longitudes on a random small
     circle, slightly wobbled, then turned by a random rotation."""
     rng = np.random.default_rng(seed)
-    rings = []
-    while len(rings) < count:
+
+    def draw():
         n = int(rng.integers(3, 102))
         lons = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=n))
         colat = rng.uniform(0.2, 1.2) * (1.0 + 1e-4 / n ** 2 * rng.uniform(-1.0, 1.0, size=n))
         turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         turn *= np.linalg.det(turn)
-        rows = np.array([spherical_row(c, lon) for c, lon in zip(colat, lons)]) @ turn.T
-        try:
-            rings.append(SphericalPolygon(rows))
-        except (NotConvex, NotInHemisphere):
-            continue
-    return rings
+        return np.array([spherical_row(c, lon) for c, lon in zip(colat, lons)]) @ turn.T
+
+    return _build_some(count, draw)
 
 
 class TestMeasuredOnce:
@@ -1146,8 +1222,8 @@ def _random_hulls(count, seed, scale=0.6):
     lines; the monotone chain returns them counterclockwise.
     """
     rng = np.random.default_rng(seed)
-    hulls = []
-    while len(hulls) < count:
+
+    def draw():
         m = int(rng.integers(3, 13))
         colat = scale * np.sqrt(rng.uniform(size=m))
         lon = rng.uniform(0.0, 2.0 * math.pi, size=m)
@@ -1160,13 +1236,27 @@ def _random_hulls(count, seed, scale=0.6):
                     chain.pop()
                 chain.append(idx)
             hull += chain[:-1]
-        if len(hull) < 3:
+        return [[x, y, 1.0] for x, y in xy[hull]] if len(hull) >= 3 else None
+
+    return _build_some(count, draw)
+
+
+def _build_some(count, draw):
+    """count polygons of the rows draw() returns, skipping None and NotConvex;
+    after 100 * count draws, the test fails with the last rejection."""
+    polygons, rejection = [], None
+    for _ in range(100 * count):
+        rows = draw()
+        if rows is None:
             continue
         try:
-            hulls.append(SphericalPolygon([[x, y, 1.0] for x, y in xy[hull]]))
-        except NotConvex:
-            continue
-    return hulls
+            polygons.append(SphericalPolygon(rows))
+        except NotConvex as exc:
+            rejection = exc
+        if len(polygons) == count:
+            return polygons
+    pytest.fail(f"{len(polygons)} of {count} polygons in {100 * count} draws; "
+                f"last rejection: {rejection!r}")
 
 
 def _turn(o, a, b):
