@@ -40,7 +40,7 @@ EDGE_EPS = 1e-9
 REDUCED_TOL = 1e-7
 # Unit-vector tolerance: the sign-test margin and shortest row normalized.
 SEPARATION_TOL = 1e-12
-# Floor on an edge's sine |v x u|: sin(arccos(1 - SEPARATION_TOL)), neighbours' least angle.
+# Floor on the sine or arc of every coincident, antipodal or pole test: sin(arccos(1 - 1e-12)).
 SEPARATION_SINE = math.sqrt(SEPARATION_TOL * (2.0 - SEPARATION_TOL))
 # Slack on d(a, p) + d(p, b) - d(a, b) when p counts as on the closed arc (a, b);
 # reduced_check turns it into a slack on the signed arc parameter.
@@ -57,7 +57,7 @@ def cross_plan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a3 + _NEXT, b3 + _PREV, a3 + _PREV, b3 + _NEXT])
 
 
-def _cross(X: np.ndarray, plan: np.ndarray) -> np.ndarray:
+def cross_rows(X: np.ndarray, plan: np.ndarray) -> np.ndarray:
     """The rows of a cross_plan over the rows of X, by one flat gather: bit for
     bit np.cross, without its fixed cost, and C-ordered like its result, since
     reductions over it round differently in F order."""
@@ -65,7 +65,7 @@ def _cross(X: np.ndarray, plan: np.ndarray) -> np.ndarray:
     return Y[0] * Y[1] - Y[2] * Y[3]
 
 
-def _norm_rows(A: np.ndarray) -> np.ndarray:
+def norm_rows(A: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis of A.
 
     The formula of np.linalg.norm(A, axis=-1), so bit for bit its result,
@@ -75,7 +75,8 @@ def _norm_rows(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(A * A, axis=-1))
 
 
-def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def dot_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The dot products of the rows of the (m, 3) arrays A and B."""
     return np.einsum("ij,ij->i", A, B)
 
 
@@ -89,7 +90,7 @@ def _angles(X: np.ndarray) -> np.ndarray:
     gather through _pair_plan(m).  Each call has a fixed cost of some
     microseconds, so callers stack every angle of one computation in one call.
     """
-    return np.arctan2(_norm_rows(_cross(X, _pair_plan(len(X)))), _dots(X[:, 0], X[:, 1]))
+    return np.arctan2(norm_rows(cross_rows(X, _pair_plan(len(X)))), dot_rows(X[:, 0], X[:, 1]))
 
 
 @lru_cache(maxsize=8)
@@ -132,10 +133,10 @@ def index_table(n: int) -> dict[str, np.ndarray]:
         # B, on [V, F, S]: v . t, v . v_k, v_k . t, t . S, t . v_j; v x t.
         "B_DOTS": pairs(i, row(1), i, k, k, row(1), row(1), row(2), row(1), j),
         "B_CROSS": cross_plan(i, row(1)),
-        # C, on [Q, V]: q_i x q_k, q_i x v_i; then on [O, V, T, F]:
-        # o . v, o . T, o . T_k, o . v_k, o . t_k.
+        # C, on [Q, V]: q_i x q_k, q_i x v_i; then on [O, V, T]:
+        # o . v, o . T, o . T_k, o . v_k.
         "C_CROSS": cross_plan(np.concatenate([i, i]), np.concatenate([k, row(1)])),
-        "C_DOTS": pairs(i, row(1), i, row(2), i, row(2, k), i, row(1, k), i, row(3, k)),
+        "C_DOTS": pairs(i, row(1), i, row(2), i, row(2, k), i, row(1, k)),
         # D, on [V, F, Q, -Q, O]: the rows r and v of the tangents r - (v . r) v;
         # then on [V, F, Q, -Q, O, U] with U those tangents, the angles' pairs.
         "TANGENTS": pairs(nxt, i, row(1), i, k, i, i, k, row(1), k),
@@ -298,7 +299,7 @@ class SphericalPolygon:
         if V.ndim != 2 or V.shape[1] != 3:
             raise DomainError(f"vertices must be an (n, 3) array, got shape {V.shape}")
         with np.errstate(over="ignore"):
-            norm = _norm_rows(V)
+            norm = norm_rows(V)
         # A NaN norm fails both comparisons; the diagnostics run only on failure.
         if not ((norm >= SEPARATION_TOL) & (norm < math.inf)).all():
             bad = np.flatnonzero(~np.isfinite(norm))
@@ -312,8 +313,8 @@ class SphericalPolygon:
         n = len(V)
         table = index_table(n)
         # Poles of the sides (v_j, v_k) opposite each vertex, the n edges once each.
-        P = _cross(V, table["SIDES"])
-        sines = _norm_rows(P)
+        P = cross_rows(V, table["SIDES"])
+        sines = norm_rows(P)
         if np.minimum.reduce(sines) <= SEPARATION_SINE:
             first = int(table["NEAR"][sines <= SEPARATION_SINE].min())
             raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
@@ -457,11 +458,6 @@ def _failed(polygon: SphericalPolygon, residual: float, reason: str) -> ReducedW
                           max_residual=residual, reason=reason)
 
 
-def _degenerate(d: np.ndarray) -> bool:
-    """Any unit-vector dot product that marks a coincident or antipodal pair."""
-    return bool((np.abs(d) >= 1.0 - SEPARATION_TOL).any())
-
-
 def reduced_check(polygon: SphericalPolygon, tol: float = REDUCED_TOL) -> ReducedWitness:
     """Decide reducedness and collect the per-vertex witness data.
 
@@ -498,19 +494,20 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     allows s in [-ON_ARC_TOL/2, D + ON_ARC_TOL/2].
 
     Four stages each gather from one base array, through index_table, their dots
-    (one take of row pairs, one einsum) and cross products (one flat gather).
+    (one take of row pairs, one dot_rows) and cross products (one cross_rows).
     A: the heights v . p, v . v_{i+1} and S = p x v_j, the side's tangent at
     v_j.  B: v . t, v . v_k, v_k . t, t . S, t . v_j and the spoke poles
     v x t.  C: q_i x q_k, T = q_i x v_i, the spoke's tangent at v_i, and the
-    crossing's dots with v, T, T_k, v_k and t_k, which its sign flip negates
+    crossing's dots with v, T, T_k and v_k, which its sign flip negates
     exactly.  D: the tangents r - (v . r) v at v_i and v_k by one
     subtraction, every angle by one _angles call and the arc parameters of
     t_i from v_j and of o_i from v_i and v_k by one arctan2.
 
-    A polygon it cannot measure fails in-band: a vertex at the pole of its
-    side, a foot on or opposite its vertex, or, for a polygon that passes
-    otherwise, a foot t_i on v_k, where the claims' far angle is undefined.
-    Its witness has max_residual inf and the cause as reason.
+    A polygon it cannot measure fails in-band: a vertex at the pole of its side
+    or a foot on its vertex, as a vertex on +-v_k has, where |F| = sin|v p| or
+    |Q| = sin|v t| is at most SEPARATION_SINE; or, for a polygon that passes
+    otherwise, a foot t_i within that arc of +-v_k, where the claims' far angle
+    is undefined.  Its witness has max_residual inf and the cause as reason.
     """
     n = polygon.n
     if n % 2 == 0:
@@ -519,36 +516,37 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     V, P = polygon._array, polygon._poles
     table = index_table(n)
     k = table["FAR"]
-    # Heights by an einsum, not the diagonal of _side_dots, which can round differently.
+    # Heights by dot_rows, not the diagonal of _side_dots, which can round differently.
     W = np.concatenate([V, P])
     X = W.take(table["A_DOTS"], axis=0)
-    h, v_next = _dots(X[:, 0], X[:, 1]).reshape(2, n)
-    if _degenerate(h):
-        return _failed(polygon, math.inf, "point coincides with a circle pole")
-    S = _cross(W, table["A_CROSS"])
+    h, v_next = dot_rows(X[:, 0], X[:, 1]).reshape(2, n)
+    S = cross_rows(W, table["A_CROSS"])
     F = V - h[:, None] * P
-    F /= _norm_rows(F)[:, None]
+    f_norm = norm_rows(F)
+    if np.minimum.reduce(f_norm) <= SEPARATION_SINE:
+        return _failed(polygon, math.inf, "point coincides with a circle pole")
+    F /= f_norm[:, None]
 
     W = np.concatenate([V, F, S])
     X = W.take(table["B_DOTS"], axis=0)
-    d = _dots(X[:, 0], X[:, 1])
-    vf, vk, kf, fs, fj = d.reshape(5, n)
-    if _degenerate(d[:2 * n]):
+    vf, vk, kf, fs, fj = dot_rows(X[:, 0], X[:, 1]).reshape(5, n)
+    Q = cross_rows(W, table["B_CROSS"])
+    q_norm = norm_rows(Q)
+    if np.minimum.reduce(q_norm) <= SEPARATION_SINE:
         return _failed(polygon, math.inf, _NO_ANGLE)
-    Q = _cross(W, table["B_CROSS"])
-    Q /= _norm_rows(Q)[:, None]
+    Q /= q_norm[:, None]
 
-    Y = _cross(np.concatenate([Q, V]), table["C_CROSS"])
+    Y = cross_rows(np.concatenate([Q, V]), table["C_CROSS"])
     C, T = Y[:n], Y[n:]
-    c_norm = _norm_rows(C)
+    c_norm = norm_rows(C)
     crosses = c_norm >= SEPARATION_TOL
     O = C / np.where(crosses, c_norm, 1.0)[:, None]
-    X = np.concatenate([O, V, T, F]).take(table["C_DOTS"], axis=0)
-    od = _dots(X[:, 0], X[:, 1]).reshape(5, n)
+    X = np.concatenate([O, V, T]).take(table["C_DOTS"], axis=0)
+    od = dot_rows(X[:, 0], X[:, 1]).reshape(4, n)
     sign = np.where(od[0] < 0.0, -1.0, 1.0)
     O *= sign[:, None]
     od *= sign
-    ov, ot, ot_k, ov_k, of_k = od
+    ov, ot, ot_k, ov_k = od
 
     # Tangents at v_i toward v_{i+1}, t_i and v_k and at v_k toward v_i and
     # t_i.  The vertical angle at a crossing, between its rays toward v_i and
@@ -565,11 +563,12 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     slack = 0.5 * ON_ARC_TOL
     crosses &= ((-slack <= s_i) & (s_i <= dist + slack)
                 & (-slack <= s_k) & (s_k <= dist[k] + slack))
-    # A crossing on v_i or t_k leaves a zero tangent, so no vertical angle.
-    crosses &= (np.abs(ov) < 1.0 - SEPARATION_TOL) & (np.abs(of_k) < 1.0 - SEPARATION_TOL)
+    # A crossing on v_i or t_k leaves a zero tangent, so no vertical angle;
+    # in that range |o v_i| is |s_i| and |o t_k| is |dist_k - s_k|.
+    crosses &= (np.abs(s_i) > SEPARATION_SINE) & (np.abs(dist[k] - s_k) > SEPARATION_SINE)
     phi = np.where(crosses, phi, math.nan)
-    # A foot t_i on v_k leaves a zero tangent, so no angle at v_k.
-    far_defined = np.abs(kf) < 1.0 - SEPARATION_TOL
+    # A foot t_i on or opposite v_k leaves a zero tangent, so no angle at v_k.
+    far_defined = (SEPARATION_SINE < far_arc) & (far_arc < math.pi - SEPARATION_SINE)
     far = np.where(far_defined, far, math.nan)
     o_foot = np.where(crosses, o_foot, math.nan)
     O[~crosses] = math.nan

@@ -32,8 +32,8 @@ from numpy.linalg import _umath_linalg
 
 from .errors import RedsphereError
 from .formulas import regular_metrics
-from .polygon import (REDUCED_TOL, ReducedWitness, SphericalPolygon, cross_plan, index_table,
-                      reduced_check)
+from .polygon import (REDUCED_TOL, ReducedWitness, SphericalPolygon, cross_plan, cross_rows,
+                      dot_rows, index_table, norm_rows, reduced_check)
 
 __all__ = ["Splitmix64", "SamplerConfig", "SampleResult", "sample_reduced", "sample_batch"]
 
@@ -212,12 +212,11 @@ def _residual(params: np.ndarray, n: int, lon0: float, w: float) -> _Point:
     G = trig[plan["FACTORS"]]
     F = G[0] * G[1] * G[2]
     V = F[:3 * n].reshape(n, 3)
-    Y = F[plan["CROSS"]]
-    c = Y[0] * Y[1] - Y[2] * Y[3]
-    c_norm = np.sqrt(np.add.reduce(c * c, axis=1))
+    c = cross_rows(F, plan["CROSS"])
+    c_norm = norm_rows(c)
     p = c / c_norm[:, None]
     # np.clip to [-1, 1], without its dispatch.
-    s = np.minimum(np.maximum(np.einsum("ij,ij->i", V, p), -1.0), 1.0)
+    s = np.minimum(np.maximum(dot_rows(V, p), -1.0), 1.0)
     r = np.concatenate((np.arcsin(s) - w, np.add.reduce(V, axis=0)[:2] / n))
     return _Point(r, F, V, p, c_norm, s)
 
@@ -235,8 +234,7 @@ def _jacobian(point: _Point) -> np.ndarray:
     plan = _plan(n)
     u = (point.V - point.s[:, None] * point.p) / point.c_norm[:, None]
     X = np.concatenate((point.F[:3 * n], u.ravel()))
-    Y = X[plan["GRAD_CROSS"]]
-    grad = np.concatenate((point.p.ravel(), Y[0] * Y[1] - Y[2] * Y[3]))
+    grad = np.concatenate((point.p.ravel(), cross_rows(X, plan["GRAD_CROSS"])))
     g = 1.0 / np.sqrt(1.0 - point.s * point.s)
     heights = np.add.reduce(grad[plan["GRAD"]] * point.F[plan["TANGENT"]], axis=1)
     J = np.zeros((n + 2) * (2 * n - 1))

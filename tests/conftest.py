@@ -51,14 +51,16 @@ def pulled_regular(n, thickness, pull=0.05):
     return SphericalPolygon(rows)
 
 
-def side_end_triangle():
-    """A triangle whose angle at v_2 is just under a right angle.
+def side_end_triangle(turn=-1e-7, colats=(0.6, 0.5)):
+    """A triangle whose angle at v_2, the north pole, is pi/2 + turn: v_0 and
+    v_1 lie at colatitudes colats and longitudes 0 and pi/2 + turn.
 
-    The foot t_0 lies inside its side, about 5e-8 from v_2 = v_k, so the
-    angle at v_k toward t_0 is undefined.
+    By default the angle is just under a right angle: the foot t_0 lies
+    inside its side, about 5e-8 from v_2 = v_k, so the angle at v_k toward
+    t_0 is undefined.
     """
-    return SphericalPolygon([spherical_row(0.6, 0.0),
-                             spherical_row(0.5, 0.5 * math.pi - 1e-7),
+    return SphericalPolygon([spherical_row(colats[0], 0.0),
+                             spherical_row(colats[1], 0.5 * math.pi + turn),
                              [0.0, 0.0, 1.0]])
 
 

@@ -53,7 +53,7 @@ from redsphere import (
 )
 from redsphere import polygon as polygon_module
 from redsphere import sampler as sampler_module
-from redsphere.polygon import EDGE_EPS, REDUCED_TOL, SEPARATION_TOL, index_table
+from redsphere.polygon import EDGE_EPS, REDUCED_TOL, SEPARATION_SINE, SEPARATION_TOL, index_table
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -566,7 +566,7 @@ class TestIndexTable:
         gap_pairs = [(i, (i + g) % n) for g in range(1, n // 2 + 1) for i in range(n)]
         assert np.array_equal(table["GAP_PAIRS"], gap_pairs)
         V = np.random.default_rng(n).normal(size=(n, 3))
-        assert np.array_equal(polygon_module._cross(V, table["SIDES"]), np.cross(V[j], V[k]))
+        assert np.array_equal(polygon_module.cross_rows(V, table["SIDES"]), np.cross(V[j], V[k]))
 
     def test_entries_are_read_only(self, n):
         for a in index_table(n).values():
@@ -654,8 +654,8 @@ class TestReducedCheck:
     def test_fresh_check_takes_four_einsums(self, monkeypatch, crooked_heptagon):
         # One per stage of _measure_reduced, the last in _angles.
         calls = []
-        dots = polygon_module._dots
-        monkeypatch.setattr(polygon_module, "_dots", lambda A, B: calls.append(len(A)) or dots(A, B))
+        dots = polygon_module.dot_rows
+        monkeypatch.setattr(polygon_module, "dot_rows", lambda A, B: calls.append(len(A)) or dots(A, B))
         w = reduced_check(SphericalPolygon(crooked_heptagon.as_array()))
         assert w.is_reduced
         assert len(calls) <= 4
@@ -731,6 +731,23 @@ class TestReducedCheck:
                 assert (w.is_reduced, w.reason, w.max_residual) == (False, reason, math.inf)
                 assert w.thickness == P.thickness() and w.feet.shape == (0, 3)
 
+    @pytest.mark.parametrize("scale", [0.99, 1.01])
+    @pytest.mark.parametrize("case", ["pole", "foot on v_i", "v_i on v_k", "t_i on v_k",
+                                      "o_i on v_i", "o_i on t_k"])
+    def test_each_floor_at_its_edge(self, case, scale):
+        # With the decided arc at scale times the floor, by the oracle, the
+        # polygon gets the reason, missing crossings and NaN far angles of
+        # _FLOOR_CASES from reduced_check and from its oracle, whose floors are
+        # 1 - SEPARATION_TOL dots.
+        build, measure, below, above = _FLOOR_CASES[case]
+        P = _bisect(build, measure, scale * _FLOOR, 0.0, 1e-4)
+        assert measure(P) == pytest.approx(scale * _FLOOR, rel=1e-9)
+        for check in (reduced_check, reference_reduced_check):
+            w = check(P, tol=math.pi)
+            assert w.is_reduced is (w.reason is None)
+            assert (w.reason, _missing_crossings(w), [math.isnan(a) for a in w.far_angles]) == (
+                below if scale < 1.0 else above)
+
     @pytest.mark.parametrize("beyond, crosses", [(3e-10, True), (7e-10, False)])
     def test_crossing_slack_at_spoke_end(self, beyond, crosses):
         # A crossing counts when it lies within ON_ARC_TOL / 2 = 5e-10 of both spokes.
@@ -741,14 +758,10 @@ class TestReducedCheck:
         assert (not _missing_crossings(got)[0]) is crosses
 
 
-def _crossing_overshoot(P, i):
-    """Arc length by which the crossing o_i lies beyond the ends of its spokes.
-
-    The spokes run from v_i and v_k, k = i + (n + 1)/2, to their feet.  Of the
-    two points where their great circles meet, the one nearer the spokes is
-    taken; a point at distance d beyond an arc end overshoots the arc-length
-    sum of Arc.contains by 2d.
-    """
+def _spoke_crossing(P, i):
+    """The spokes v_i -> t_i and v_k -> t_k, k = i + (n + 1)/2, as oracle arcs,
+    and their crossing: of the two points where their great circles meet, the
+    one nearer the spokes, by _crossing_overshoot's measure."""
     n = P.n
     verts = _points(P)
     spokes = []
@@ -757,11 +770,31 @@ def _crossing_overshoot(P, i):
         circle = GreatCircle.through(verts[j], verts[k])
         spokes.append(Arc(verts[m], project_to_circle(verts[m], circle)))
     c = SpherePoint.from_vec(np.cross(spokes[0].circle.pole.vec, spokes[1].circle.pole.vec))
+    return spokes, min(c, antipode(c), key=lambda o: _beyond(spokes, o))
 
-    def beyond(o):
-        return max(0.5 * (distance(s.a, o) + distance(o, s.b) - s.length) for s in spokes)
 
-    return min(beyond(c), beyond(antipode(c)))
+def _beyond(spokes, o):
+    return max(0.5 * (distance(s.a, o) + distance(o, s.b) - s.length) for s in spokes)
+
+
+def _crossing_overshoot(P, i):
+    """Arc length by which the crossing o_i lies beyond the ends of its spokes;
+    a point at distance d beyond an arc end overshoots the arc-length sum of
+    Arc.contains by 2d."""
+    spokes, o = _spoke_crossing(P, i)
+    return _beyond(spokes, o)
+
+
+def _bisect(build, measure, target, lo, hi):
+    """build(x) for the x in [lo, hi] where measure(build(x)), increasing in x,
+    first reaches target, by bisection."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if measure(build(mid)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return build(hi)
 
 
 def _triangle_with_crossing_beyond(target):
@@ -772,19 +805,74 @@ def _triangle_with_crossing_beyond(target):
     Widening that angle by t moves the crossing past both ends, by an amount
     that grows with t; t is found by bisection.
     """
-    def build(t):
-        return SphericalPolygon([spherical_row(0.6, 0.0),
-                                 spherical_row(0.5, 0.5 * math.pi + t),
-                                 [0.0, 0.0, 1.0]])
+    return _bisect(side_end_triangle, lambda P: _crossing_overshoot(P, 0), target, 0.0, 1e-6)
 
-    lo, hi = 0.0, 1e-6
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _crossing_overshoot(build(mid), 0) < target:
-            lo = mid
-        else:
-            hi = mid
-    return build(hi)
+
+def _foot(P, i):
+    """The oracle's foot t_i of v_i on the circle of its opposite side."""
+    verts = _points(P)
+    j, k = opposite_side(i, P.n)
+    return project_to_circle(verts[i], GreatCircle.through(verts[j], verts[k]))
+
+
+def _pole_arc(P):
+    """The least arc from a vertex to the pole of its opposite side."""
+    verts = _points(P)
+    sides = [opposite_side(i, P.n) for i in range(P.n)]
+    return min(distance(v, GreatCircle.through(verts[j], verts[k]).pole)
+               for v, (j, k) in zip(verts, sides))
+
+
+def _low_apex_triangle(x):
+    """A triangle whose v_0 lies x above the side from v_1 to v_2, at its middle."""
+    return SphericalPolygon([spherical_row(0.5 * math.pi - x, 0.25 * math.pi),
+                             [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def _pinched_pentagon(d):
+    """A convex pentagon whose v_0 and v_3 = v_k lie about d apart, drawn on the
+    gnomonic chart z = 1: v_4 three floors below them, v_1 and v_2 far above."""
+    rows = [(d, 0.0), (0.02, 0.5), (-0.02, 0.5), (0.0, 0.0), (0.5 * d, -3.0 * _FLOOR)]
+    return SphericalPolygon([[x, y, 1.0] for x, y in rows])
+
+
+def _crossing_arcs(P, i):
+    """|o_i v_i| and |o_i t_k| by the oracle."""
+    spokes, o = _spoke_crossing(P, i)
+    return distance(o, spokes[0].a), distance(o, spokes[1].b)
+
+
+# Every coincident, antipodal or pole decision of reduced_check turns at this arc,
+# arccos(1 - SEPARATION_TOL) to 3e-13 relative.
+_FLOOR = math.asin(SEPARATION_SINE)
+_NO_ANGLE = "ray endpoint coincident or antipodal with vertex"
+_OUTSIDE = "projection foot outside the open side interior"
+
+# Per decision: a polygon family, the decided arc by the oracle, increasing in the
+# family's parameter, and, with tol pi, the reason, missing crossings and NaN far
+# angles just below the floor and just above it.  Near a right angle at v_2 of
+# side_end_triangle, t_0 and t_1 near v_2 and the crossing near them move together,
+# so more than one field turns there.  |o_i v_i| >= |o_i t_k|, as the spoke of v_k
+# meets the circle through v_i at t_k at a right angle: a crossing within the
+# floor of v_i is within it of t_k too, so the case "o_i on v_i" takes a thin
+# triangle, where the two arcs nearly agree, to turn at the floor of v_i.
+_FLOOR_CASES = {
+    "pole": (lambda x: build_regular(5, 0.5 * math.pi - x), _pole_arc,
+             ("point coincides with a circle pole", [], []), (None, [False] * 5, [False] * 5)),
+    "foot on v_i": (_low_apex_triangle, lambda P: distance(_points(P)[0], _foot(P, 0)),
+                    (_NO_ANGLE, [], []), (_OUTSIDE, [True] * 3, [False] * 3)),
+    "v_i on v_k": (_pinched_pentagon, lambda P: distance(_points(P)[0], _points(P)[3]),
+                   (_NO_ANGLE, [], []),
+                   (_OUTSIDE, [True, False, True, True, False], [True] + [False] * 4)),
+    "t_i on v_k": (lambda x: side_end_triangle(-x), lambda P: distance(_foot(P, 0), _points(P)[2]),
+                   (_NO_ANGLE, [False, True, True], [True, False, False]),
+                   (None, [False, True, False], [False] * 3)),
+    "o_i on v_i": (lambda x: side_end_triangle(-x, (1.4, 0.05)), lambda P: _crossing_arcs(P, 2)[0],
+                   (_NO_ANGLE, [False, True, True], [True, False, False]),
+                   (None, [False, True, False], [False] * 3)),
+    "o_i on t_k": (lambda x: side_end_triangle(-x), lambda P: _crossing_arcs(P, 1)[1],
+                   (None, [False, True, False], [False] * 3), (None, [False] * 3, [False] * 3)),
+}
 
 
 def _plus_crossings(P):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from redsphere import DegeneratePoint, RedsphereError
-from redsphere.polygon import ON_ARC_TOL, SEPARATION_TOL, _angles, _norm_rows
+from redsphere.polygon import ON_ARC_TOL, SEPARATION_TOL, _angles, norm_rows
 
 
 # Points, great circles and arcs as objects.  No library code uses them;
@@ -260,9 +260,9 @@ class TestNormRows:
         rng = np.random.default_rng(sum(shape))
         for scale in (1e-9, 1.0, 1e9):
             A = scale * rng.standard_normal(shape)
-            assert np.array_equal(_norm_rows(A), np.linalg.norm(A, axis=-1))
+            assert np.array_equal(norm_rows(A), np.linalg.norm(A, axis=-1))
             # Strided views, as the kernels pass them.
-            assert np.array_equal(_norm_rows(A[..., ::2, :]),
+            assert np.array_equal(norm_rows(A[..., ::2, :]),
                                   np.linalg.norm(A[..., ::2, :], axis=-1))
 
 

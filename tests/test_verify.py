@@ -175,8 +175,8 @@ class TestPolygonReports:
         assert list(P._witnesses) == [REDUCED_TOL]
         # The pair pass takes the norms of its 21 cross products once per call.
         rows = []
-        norm_rows = polygon_module._norm_rows
-        monkeypatch.setattr(polygon_module, "_norm_rows",
+        norm_rows = polygon_module.norm_rows
+        monkeypatch.setattr(polygon_module, "norm_rows",
                             lambda A: rows.append(len(A)) or norm_rows(A))
         for _ in range(2):
             polygon_reports(P, s.witness, QUARTER_PI, "again")
