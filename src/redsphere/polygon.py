@@ -337,14 +337,12 @@ class SphericalPolygon:
         return self._array.copy()
 
     def thickness(self) -> float:
-        """Width of the thinnest lune containing the polygon.
+        """The least, over edges, of the farthest vertex's height above the
+        edge's great circle: arcsines of the constructor's convexity-test dots.
 
-        For every edge, the farthest vertex height over the edge's great
-        circle is the thickness of the tightest lune with that edge on its
-        boundary; the minimum over edges, in any order, is taken.  That the
-        minimal lune is supported by an edge this way is validated against a
-        random lune oracle in the test-suite rather than assumed silently.
-        The heights are arcsines of the constructor's convexity-test dots.
+        On a reduced polygon that is its thickness, the width of the thinnest
+        lune containing it.  Off the reduced family it can read low, as the lune
+        through an edge and its farthest vertex need not contain the others.
         """
         heights = np.arcsin(self._side_dots.clip(-1.0, 1.0))
         return float(heights.max(axis=0).min())
@@ -503,11 +501,13 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     subtraction, every angle by one _angles call and the arc parameters of
     t_i from v_j and of o_i from v_i and v_k by one arctan2.
 
-    A polygon it cannot measure fails in-band: a vertex at the pole of its side
-    or a foot on its vertex, as a vertex on +-v_k has, where |F| = sin|v p| or
-    |Q| = sin|v t| is at most SEPARATION_SINE; or, for a polygon that passes
-    otherwise, a foot t_i within that arc of +-v_k, where the claims' far angle
-    is undefined.  Its witness has max_residual inf and the cause as reason.
+    A polygon it cannot measure fails in-band, with max_residual inf and the
+    cause as reason: a vertex at the pole of its side or a foot on its vertex
+    (as a vertex on +-v_k has), where |F| = sin|v p| or |Q| = sin|v t| is at
+    most SEPARATION_SINE; or, passing otherwise, a foot t_i within that arc of
+    +-v_k, where the claims' far angle is undefined.  A crossing within it of
+    t_k (|dist_k - s_k|) is missing, having no vertical angle; so is one
+    within it of v_i, as spoke k is normal to the edge from v_i at t_k.
     """
     n = polygon.n
     if n % 2 == 0:
@@ -563,9 +563,7 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     slack = 0.5 * ON_ARC_TOL
     crosses &= ((-slack <= s_i) & (s_i <= dist + slack)
                 & (-slack <= s_k) & (s_k <= dist[k] + slack))
-    # A crossing on v_i or t_k leaves a zero tangent, so no vertical angle;
-    # in that range |o v_i| is |s_i| and |o t_k| is |dist_k - s_k|.
-    crosses &= (np.abs(s_i) > SEPARATION_SINE) & (np.abs(dist[k] - s_k) > SEPARATION_SINE)
+    crosses &= np.abs(dist[k] - s_k) > SEPARATION_SINE
     phi = np.where(crosses, phi, math.nan)
     # A foot t_i on or opposite v_k leaves a zero tangent, so no angle at v_k.
     far_defined = (SEPARATION_SINE < far_arc) & (far_arc < math.pi - SEPARATION_SINE)

@@ -40,7 +40,8 @@ __all__ = ["Splitmix64", "SamplerConfig", "SampleResult", "sample_reduced", "sam
 _MASK64 = (1 << 64) - 1
 _MU_CEIL = 1e13
 _MU_FLOOR = 1e-14
-# Initial Levenberg-Marquardt damping.
+# Initial Levenberg-Marquardt damping.  It also sets how far the samples spread
+# from the regular polygon, so convergence is not to be bought with it.
 _DAMPING = 1e-3
 _MAX_ITERATIONS = 200
 # Shallow spoke crossings amplify distance residuals by up to about 3e7

@@ -29,6 +29,7 @@ from test_sphere_core import (
     distance,
     project_to_circle,
     row_angles,
+    tangent_rows,
 )
 
 from redsphere import (
@@ -739,8 +740,8 @@ class TestReducedCheck:
         # polygon gets the reason, missing crossings and NaN far angles of
         # _FLOOR_CASES from reduced_check and from its oracle, whose floors are
         # 1 - SEPARATION_TOL dots.
-        build, measure, below, above = _FLOOR_CASES[case]
-        P = _bisect(build, measure, scale * _FLOOR, 0.0, 1e-4)
+        _, measure, below, above = _FLOOR_CASES[case]
+        P = _floor_polygon(case, scale)
         assert measure(P) == pytest.approx(scale * _FLOOR, rel=1e-9)
         for check in (reduced_check, reference_reduced_check):
             w = check(P, tol=math.pi)
@@ -854,8 +855,9 @@ _OUTSIDE = "projection foot outside the open side interior"
 # side_end_triangle, t_0 and t_1 near v_2 and the crossing near them move together,
 # so more than one field turns there.  |o_i v_i| >= |o_i t_k|, as the spoke of v_k
 # meets the circle through v_i at t_k at a right angle: a crossing within the
-# floor of v_i is within it of t_k too, so the case "o_i on v_i" takes a thin
-# triangle, where the two arcs nearly agree, to turn at the floor of v_i.
+# floor of v_i is within it of t_k too, and reduced_check tests |o_i t_k| alone.
+# So the case "o_i on v_i" takes a thin triangle, where the two arcs nearly
+# agree, and the floor on |o_i t_k| decides it at the floor of |o_i v_i|.
 _FLOOR_CASES = {
     "pole": (lambda x: build_regular(5, 0.5 * math.pi - x), _pole_arc,
              ("point coincides with a circle pole", [], []), (None, [False] * 5, [False] * 5)),
@@ -902,6 +904,145 @@ def _witness_values(w):
                            w.foot_distances + w.edge_foot_angles + w.foot_diagonal_angles
                            + w.crossing_angles + w.far_angles + w.boundary_arc_gaps
                            + w.crossing_foot_distances + (w.thickness, w.max_residual)])
+
+
+@lru_cache(maxsize=None)
+def _floor_polygon(case, scale):
+    """_FLOOR_CASES[case]'s polygon whose decided arc is scale times the floor."""
+    build, measure, _, _ = _FLOOR_CASES[case]
+    return _bisect(build, measure, scale * _FLOOR, 0.0, 1e-4)
+
+
+# ---------------------------------------------------------------------------
+# The exact lune thickness and the definition of a reduced body, as oracles of
+# thickness() and reduced_check.
+
+
+def _unit(X):
+    return X / np.linalg.norm(X, axis=-1, keepdims=True)
+
+
+def _dots(X, Y):
+    return np.einsum("...i,...i->...", X, Y)
+
+
+def _on_minor_arc(A, X, B):
+    """Whether the points X, on the great circles through A and B, lie on the
+    closed minor arcs from A to B."""
+    N = np.cross(A, B)
+    return (_dots(np.cross(A, X), N) >= 0.0) & (_dots(np.cross(X, B), N) >= 0.0)
+
+
+def lune_thickness(V):
+    """Per polygon Z of a (c, m, 3) array V of counterclockwise unit rows: its
+    thickness Delta(Z) = pi - diam(Z*), and the poles a and b of a lune of that
+    width, {x : x . a >= 0, x . b >= 0} as test_sphere_core's Lune, that contains Z.
+
+    Z* is the polar polygon {a : a . v >= 0 for every v in Z}: its vertices are
+    the unit inward edge poles p_i = v_i x v_{i+1} / |.|, and its edges the minor
+    arcs from p_{i-1} to p_i on the great circle with pole v_i.  A lune of
+    poles a and b contains Z iff a and b lie in Z*, and its width is
+    pi - |a b|.  Z* lies in an open hemisphere, so no two of its points are
+    antipodal, and the farthest pair lies on its boundary: two vertices; a
+    vertex p and the point -p + (p . v) v of an edge's circle farthest from it;
+    or, on the circles of two edges with poles v and w, the points +-v x c and
+    +-w x c, c = v x w, whose arc is perpendicular to both circles.  Each
+    candidate counts where it lies on its edges, and distances are
+    atan2(|x x y|, x . y).
+    """
+    V = np.asarray(V, dtype=float)
+    c, m, _ = V.shape
+    P = _unit(np.cross(V, np.roll(V, -1, axis=1)))
+    # Edge e of Z* runs from P[e - 1] to P[e] on the circle with pole V[e].
+    start = np.roll(P, 1, axis=1)
+    e, f = np.indices((m, m)).reshape(2, -1)
+    pairs = e < f
+    X, Y, on = [P[:, e[pairs]]], [P[:, f[pairs]]], [np.ones((c, pairs.sum()), dtype=bool)]
+
+    far = -P[:, e] + _dots(P[:, e], V[:, f])[..., None] * V[:, f]
+    far_norm = np.linalg.norm(far, axis=-1)
+    defined = far_norm > SEPARATION_TOL
+    far /= np.where(defined, far_norm, 1.0)[..., None]
+    X.append(P[:, e])
+    Y.append(far)
+    on.append(defined & _on_minor_arc(start[:, f], far, P[:, f]))
+
+    e, f = e[pairs], f[pairs]
+    C = np.cross(V[:, e], V[:, f])
+    x, y = _unit(np.cross(V[:, e], C)), _unit(np.cross(V[:, f], C))
+    # The four sign pairs (+-x, +-y).
+    X.append(np.concatenate([x, x, -x, -x], axis=1))
+    Y.append(np.concatenate([y, -y, y, -y], axis=1))
+    e, f = np.tile(e, 4), np.tile(f, 4)
+    on.append(_on_minor_arc(start[:, e], X[-1], P[:, e])
+              & _on_minor_arc(start[:, f], Y[-1], P[:, f]))
+
+    X, Y = np.concatenate(X, axis=1), np.concatenate(Y, axis=1)
+    d = np.where(np.concatenate(on, axis=1),
+                 np.arctan2(np.linalg.norm(np.cross(X, Y), axis=-1), _dots(X, Y)), -np.inf)
+    best = d.argmax(axis=1)
+    rows = np.arange(c)
+    return math.pi - d[rows, best], X[rows, best], Y[rows, best]
+
+
+# Chord ends of a corner cut, as arcs along the edges toward v_{i-1} and v_{i+1}
+# in units of the shortest side: two depths, each at two skews.
+_CUTS = np.array([(depth * a, depth * b) for depth in (1e-3, 1e-2)
+                  for a, b in ((1.0, 0.5), (0.5, 1.0))])
+
+
+def corner_cuts(V):
+    """The convex (n + 1)-gons Z ⊊ P of the counterclockwise unit rows V of P
+    that cut one vertex v_i off with a chord between its two edges, for each
+    i and each pair of _CUTS: a (4n, n + 1, 3) array, vertex 0's cuts first."""
+    n = len(V)
+    side = row_angles(V, np.roll(V, -1, axis=0)).min()
+    # Unit tangents at each vertex toward the previous and the next vertex.
+    T = _unit(np.stack([tangent_rows(V, np.roll(V, 1, axis=0)),
+                        tangent_rows(V, np.roll(V, -1, axis=0))], axis=1))
+    arcs = side * _CUTS
+    # [vertex, cut, chord end, xyz]
+    ends = np.cos(arcs)[..., None] * V[:, None, None] + np.sin(arcs)[..., None] * T[:, None]
+    rest = V[(np.arange(n)[:, None] + np.arange(1, n)) % n]
+    rest = np.broadcast_to(rest[:, None], (n, len(_CUTS), n - 1, 3))
+    return np.concatenate([ends, rest], axis=2).reshape(-1, n + 1, 3)
+
+
+def definition_check(P):
+    """P's verdict by the definition of a reduced body (Lassak, Colloq. Math.
+    2015): P is reduced when every convex Z ⊊ P is thinner.  Returns whether
+    every corner cut lowers the exact thickness by more than 1e-12, and the
+    least drop.  A cut that keeps it proves P not reduced; cuts that all lower
+    it are evidence, not proof, that P is."""
+    V = P.as_array()
+    drops = lune_thickness(V[None])[0][0] - lune_thickness(corner_cuts(V))[0]
+    # Z ⊊ P puts P* inside Z*, so no cut is thicker.
+    assert drops.min() >= -1e-12
+    return bool(drops.min() > 1e-12), float(drops.min())
+
+
+@pytest.fixture(scope="module")
+def grid_slice(sample_grid):
+    """40 converged samples per session-grid cell, by a seeded draw, and
+    every rejection."""
+    rng = np.random.default_rng(2015)
+    polygons = []
+    for batch in sample_grid.cells.values():
+        converged = [s.polygon for s in batch if s.converged]
+        polygons += [converged[i] for i in rng.choice(len(converged), 40, replace=False)]
+        polygons += [s.polygon for s in batch if not s.converged]
+    return polygons
+
+
+def _assert_exact_thickness(P):
+    """lune_thickness(P) is thickness() within 1e-12 and the width of an explicit
+    lune that contains every vertex within 1e-12."""
+    width, a, b = (x[0] for x in lune_thickness(P.as_array()[None]))
+    lune = Lune(SpherePoint.from_vec(a), SpherePoint.from_vec(b))
+    assert lune.thickness == pytest.approx(width, abs=1e-12)
+    for vert in _points(P):
+        assert lune.contains(vert, tol=1e-12)
+    assert width == pytest.approx(P.thickness(), abs=1e-12)
 
 
 class TestThickness:
@@ -952,6 +1093,69 @@ class TestThickness:
             assert lune.thickness == pytest.approx(computed, abs=1e-12)
             for vert in _points(P):
                 assert lune.contains(vert, tol=1e-12)
+
+    def test_regular_polygons_measure_their_exact_thickness(self):
+        for n in range(3, 22, 2):
+            for omega in (math.pi / 8, QUARTER_PI, math.pi / 3, 1.5):
+                _assert_exact_thickness(build_regular(n, omega))
+
+    def test_grid_slice_measures_its_exact_thickness(self, grid_slice):
+        for P in grid_slice:
+            _assert_exact_thickness(P)
+
+    @pytest.mark.xfail(strict=True, reason="thickness() is the least edge's farthest-vertex "
+                       "height, which reads low off the reduced family")
+    def test_cut_triangle_measures_its_exact_thickness(self):
+        # The regular triangle of thickness 1.5 with v_0 cut off 7.6e-4 along
+        # its edge to v_2 and 1.52e-3 along its edge to v_1: thickness() reads
+        # 1.1435, the exact lune thickness 1.4994.
+        P = SphericalPolygon(corner_cuts(build_regular(3, 1.5).as_array())[1])
+        _assert_exact_thickness(P)
+
+
+class TestDefinition:
+    """reduced_check against the definition of a reduced body.  Where
+    reduced_check cannot measure a polygon (max_residual inf), the pair is
+    unmeasured, not agreement."""
+
+    def test_agrees_on_the_grid_slice(self, grid_slice):
+        for P in grid_slice:
+            w = reduced_check(P)
+            assert math.isfinite(w.max_residual)
+            reduced, least_drop = definition_check(P)
+            assert reduced is w.is_reduced, least_drop
+
+    @pytest.mark.parametrize("scale", [0.99, 1.01])
+    @pytest.mark.parametrize("case", list(_FLOOR_CASES))
+    def test_agrees_at_each_floor(self, case, scale):
+        # By the definition only the regular pentagon of the pole floor is
+        # reduced; below their floors, reduced_check cannot measure it, nor the
+        # triangle with its foot on v_i, nor the pentagon with v_i on v_k.
+        P = _floor_polygon(case, scale)
+        reduced = case == "pole"
+        assert definition_check(P)[0] is reduced, definition_check(P)[1]
+        w = reduced_check(P)
+        measured = scale > 1.0 or case not in ("pole", "foot on v_i", "v_i on v_k")
+        assert math.isfinite(w.max_residual) is measured
+        if measured:
+            assert w.is_reduced is reduced
+
+    def test_a_crossing_is_no_nearer_v_i_than_t_k(self, grid_slice):
+        # Spoke k meets the circle through v_i and v_{i+1} at t_k at a right
+        # angle, so o_i, t_k and v_i make a right triangle: the floor on
+        # |o_i t_k| is a floor on |o_i v_i| too.
+        crossings = 0
+        for P in grid_slice:
+            w = reduced_check(P)
+            kept = ~np.isnan(w.crossings).any(axis=1)
+            o = w.crossings[kept]
+            v = P.as_array()[kept]
+            t = w.feet[index_table(P.n)["FAR"]][kept]
+            ov, ot, tv = row_angles(o, v), row_angles(o, t), row_angles(t, v)
+            assert (ov >= ot).all()
+            np.testing.assert_allclose(np.cos(ov), np.cos(ot) * np.cos(tv), rtol=0.0, atol=1e-12)
+            crossings += len(o)
+        assert crossings > 0
 
 
 class TestPerimeter:

@@ -299,6 +299,21 @@ class TestBatchQuality:
         for cell, floor in self.CONVERGED_FLOOR.items():
             assert got[cell] >= floor, cell
 
+    # Per n = 7 cell, the converged samples' spread, a sample's largest
+    # |phi_i - pi/n| over its crossing angles, has a 90th percentile of at least
+    # SPREAD_FLOOR, and the least phi_i is at most LEAST_PHI_CEIL: 0.143-0.165
+    # and 0.065-0.118 at the initial damping of 1e-3.  An initial 3e-2 that
+    # falls a hundredfold after an accepted trial converges more samples only
+    # by pulling them toward the regular heptagon (0.057-0.058 and 0.343-0.368).
+    SPREAD_FLOOR, LEAST_PHI_CEIL = 0.10, 0.20
+
+    def test_session_grid_coverage_floor(self, sample_grid):
+        for omega in GRID_OMEGA:
+            phi = np.array([s.witness.crossing_angles for s in sample_grid.converged(7, omega)])
+            spread = np.abs(phi - math.pi / 7).max(axis=1)
+            assert np.percentile(spread, 90) >= self.SPREAD_FLOOR, omega
+            assert phi.min() <= self.LEAST_PHI_CEIL, omega
+
     def test_most_samples_converge_and_verify(self):
         batch = sample_batch(SamplerConfig(n=5, thickness=QUARTER_PI, seed=100), 25)
         converged = [s for s in batch if s.converged]
