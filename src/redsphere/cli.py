@@ -13,21 +13,15 @@ import math
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import RedsphereError
 from .polygon import REDUCED_TOL, build_regular, load_polygon, reduced_check, save_polygon
 from .formulas import regular_metrics
 from .sampler import SamplerConfig, sample_batch
-from .verify import (
-    LAMBDA_GRID,
-    OMEGA_GRID,
-    full_suite,
-    polygon_reports,
-    reports_to_csv,
-    reports_to_json,
-    strict_json,
-    summarize,
-    table1_reports,
-)
+from .verify import (LAMBDA_GRID, OMEGA_GRID, full_suite, polygon_reports, regular_perimeters,
+                     reports_to_csv, reports_to_json, scalar_lemma_grid, strict_json,
+                     summarize, table1_reports)
 
 __all__ = ["main"]
 
@@ -264,27 +258,23 @@ def _cmd_sample(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_lemmas(args) -> int:
-    from .formulas import arm_from_angle, crossing_angle_inv, arm_length, crossing_angle
+def _print_table(header: str, *columns) -> None:
+    print(header)
+    for row in zip(*columns):
+        print(",".join(f"{v:.9g}" for v in row))
 
+
+def _cmd_lemmas(args) -> int:
     for lam in args.lambdas:
+        phis, F, xs, ratio = scalar_lemma_grid(lam, args.grid)
+        dF = np.diff(F, append=math.nan)
         print(f"# lambda={lam:.9g}")
-        print("x,ratio,F,dF,d2F")
-        grid = args.grid
-        h = 0.5 * math.pi / (grid + 1)
-        phis = [h * (i + 1) for i in range(grid)]
-        F = [arm_from_angle(p, lam) for p in phis]
-        for i, phi in enumerate(phis):
-            x = crossing_angle_inv(phi, lam)
-            ratio = arm_length(x, lam) / crossing_angle(x, lam)
-            dF = (F[i + 1] - F[i - 1]) / (2.0 * h) if 0 < i < grid - 1 else math.nan
-            d2F = (F[i + 1] - 2.0 * F[i] + F[i - 1]) / (h * h) if 0 < i < grid - 1 else math.nan
-            print(f"{x:.9g},{ratio:.9g},{F[i]:.9g},{dF:.9g},{d2F:.9g}")
+        _print_table("phi,F,dF,d2F", phis, F, dF, np.diff(dF, append=math.nan))
+        _print_table("x,ratio,dratio", xs, ratio, np.diff(ratio, append=math.nan))
     for w in OMEGA_GRID:
         print(f"# thickness={w:.9g}")
-        print("k,perimeter")
-        for k in range(3, 53, 2):
-            print(f"{k},{regular_metrics(k, w).perimeter:.9g}")
+        perimeters = regular_perimeters(w)
+        _print_table("k,perimeter", perimeters.keys(), perimeters.values())
     return 0
 
 

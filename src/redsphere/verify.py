@@ -2,7 +2,9 @@
 
 Each check returns a VerificationReport, a named tuple written out as
 its seven _fields; full_suite strings the formula checks and the per-sample
-checks together.  The residual is `measured - bound` throughout.
+checks together.  The residual is `measured - bound` throughout.  The
+scalar-lemma and regular-perimeter-monotone rows judge the tables that
+scalar_lemma_grid and regular_perimeters build; `redsphere lemmas` prints them.
 
 Claim identifiers (stable strings):
     table1                       covering radius vs six-decimal reference
@@ -61,21 +63,10 @@ from .formulas import (
 from .polygon import REDUCED_TOL, ReducedWitness, SphericalPolygon, reduced_check
 from .sampler import SampleResult
 
-__all__ = [
-    "VerificationReport",
-    "OMEGA_GRID",
-    "LAMBDA_GRID",
-    "TABLE1_REFERENCE",
-    "check_regular_monotonicity",
-    "check_bound_gap",
-    "check_scalar_lemmas",
-    "table1_reports",
-    "polygon_reports",
-    "full_suite",
-    "summarize",
-    "reports_to_json",
-    "reports_to_csv",
-]
+__all__ = ["VerificationReport", "OMEGA_GRID", "LAMBDA_GRID", "TABLE1_REFERENCE",
+           "check_regular_monotonicity", "check_bound_gap", "check_scalar_lemmas",
+           "scalar_lemma_grid", "regular_perimeters", "table1_reports", "polygon_reports",
+           "full_suite", "summarize", "reports_to_json", "reports_to_csv"]
 
 # Thickness grid of the reference table; also the default formula grid.
 OMEGA_GRID = (math.pi / 8, math.pi / 6, math.pi / 4, math.pi / 3)
@@ -157,31 +148,44 @@ def check_bound_gap(thickness: float) -> VerificationReport:
     return _report("diameter-bound-gap", f"thickness={thickness:.9g}", gap, 0.0, 1e-6, "gt")
 
 
+def regular_perimeters(thickness: float) -> dict[int, float]:
+    """The regular k-gon's perimeter at this thickness, by odd k = 3, 5, ..., 51."""
+    return {k: regular_metrics(k, thickness).perimeter for k in range(3, 52, 2)}
+
+
 def check_regular_monotonicity(thickness: float) -> VerificationReport:
     """Regular perimeters strictly decrease over odd n = 3, 5, ..., 51."""
-    perims = [regular_metrics(k, thickness).perimeter for k in range(3, 52, 2)]
+    perims = list(regular_perimeters(thickness).values())
     worst = max(b - a for a, b in zip(perims, perims[1:]))
     return _report("regular-perimeter-monotone",
                    f"thickness={thickness:.9g} k=3..51", worst, 0.0, 1e-10, "lt")
 
 
+def scalar_lemma_grid(lam: float, points: int) -> tuple[np.ndarray, ...]:
+    """(phis, F, xs, ratio) for k = 1..points: phis = pi/2 * k/(points + 1) and
+    F their arm_from_angle; xs = x_limit(lam) * k/(points + 1) and ratio their
+    arm_length/crossing_angle.  The scalar-lemma rows judge these arrays."""
+    phis = 0.5 * math.pi * np.arange(1, points + 1) / (points + 1)
+    F = np.array([arm_from_angle(p, lam) for p in phis])
+    xs = x_limit(lam) * np.arange(1, points + 1) / (points + 1)
+    ratio = np.array([arm_length(x, lam) / crossing_angle(x, lam) for x in xs])
+    return phis, F, xs, ratio
+
+
 def check_scalar_lemmas() -> list[VerificationReport]:
     """Grid monotonicity/convexity of the scalar maps, three claims per lam.
 
-    Over 1000 interior grid points for each lam of LAMBDA_GRID:
-    arm_length/crossing_angle strictly decreasing in x; arm_from_angle
-    strictly increasing and strictly convex in the crossing angle.
+    By neighbour differences on scalar_lemma_grid(lam, 1000) for each lam of
+    LAMBDA_GRID: arm_length/crossing_angle strictly decreasing in x;
+    arm_from_angle strictly increasing and strictly convex in the angle.
     """
     points = 1000
     out = []
     for lam in LAMBDA_GRID:
         tag = f"lam={lam:.9g} points={points}"
-        xs = x_limit(lam) * np.arange(1, points + 1) / (points + 1)
-        ratio = np.array([arm_length(x, lam) / crossing_angle(x, lam) for x in xs])
+        _, F, _, ratio = scalar_lemma_grid(lam, points)
         out.append(_report("arm-ratio-decreasing", tag, float(np.max(np.diff(ratio))),
                            0.0, 0.0, "lt"))
-        phis = 0.5 * math.pi * np.arange(1, points + 1) / (points + 1)
-        F = np.array([arm_from_angle(p, lam) for p in phis])
         d1 = np.diff(F)
         out.append(_report("arm-of-angle-increasing", tag, float(np.min(d1)),
                            0.0, 0.0, "gt"))

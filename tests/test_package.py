@@ -16,9 +16,9 @@ PUBLIC_NAMES = [
     "check_regular_monotonicity", "check_scalar_lemmas", "covering_radius_bound",
     "crossing_angle", "crossing_angle_inv", "diameter_bound", "diameter_bound_coarse",
     "full_suite", "load_polygon", "polygon_from_doc", "polygon_reports", "polygon_to_doc",
-    "reduced_check", "regular_metrics", "regular_triangle_half_angle", "reports_to_csv",
-    "reports_to_json", "sample_batch", "sample_reduced", "save_polygon", "summarize",
-    "table1_reports", "x_limit",
+    "reduced_check", "regular_metrics", "regular_perimeters", "regular_triangle_half_angle",
+    "reports_to_csv", "reports_to_json", "sample_batch", "sample_reduced",
+    "save_polygon", "scalar_lemma_grid", "summarize", "table1_reports", "x_limit",
 ]
 
 
@@ -28,7 +28,7 @@ def test_every_exported_name_resolves():
 
 
 def test_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 47
     assert len(set(redsphere.__all__)) == len(redsphere.__all__)
     assert sorted(redsphere.__all__) == PUBLIC_NAMES
 
