@@ -19,9 +19,9 @@ from .errors import RedsphereError
 from .polygon import REDUCED_TOL, build_regular, load_polygon, reduced_check, save_polygon
 from .formulas import regular_metrics
 from .sampler import SamplerConfig, sample_batch
-from .verify import (LAMBDA_GRID, OMEGA_GRID, full_suite, polygon_reports, regular_perimeters,
-                     reports_to_csv, reports_to_json, scalar_lemma_grid, strict_json,
-                     summarize, table1_reports)
+from .verify import (LAMBDA_GRID, OMEGA_GRID, SUITE_GRID, full_suite, polygon_reports,
+                     regular_perimeters, reports_to_csv, reports_to_json, scalar_lemma_grid,
+                     strict_json, summarize, table1_reports)
 
 __all__ = ["main"]
 
@@ -280,8 +280,9 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_suite(args) -> int:
     samples = []
-    for n in (5, 7):
-        for w in (math.pi / 6, math.pi / 4, math.pi / 3):
+    ns, thicknesses = SUITE_GRID
+    for n in ns:
+        for w in thicknesses:
             cfg = SamplerConfig(n=n, thickness=w, seed=args.seed)
             samples.extend(sample_batch(cfg, args.count))
             # Zero perturbation hits the regular equality cases.

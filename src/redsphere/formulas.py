@@ -32,6 +32,7 @@ __all__ = [
     "arm_lengths",
     "crossing_angle",
     "crossing_angle_inv",
+    "crossing_angles_inv",
     "arm_from_angle",
     "regular_metrics",
     "covering_radius_bound",
@@ -52,11 +53,20 @@ def _check_thickness(thickness: float) -> None:
         raise DomainError(f"thickness={thickness!r} outside (0, pi/2)")
 
 
-def x_limit(lam: float) -> float:
-    """Right end of the open x-domain: (sqrt(1 + lam^2) - 1) / lam."""
+@lru_cache(maxsize=32, typed=True)
+def _lam_terms(lam: float) -> tuple[float, float, float, float]:
+    """x_limit(lam), sqrt(1 + lam^2), 4 lam^2 and 2 lam, rounded as the
+    formulas round them; raises DomainError for lam <= 0.  Cached, typed, so
+    that an int or numpy lam gets terms of its own type."""
     if lam <= 0.0:
         raise DomainError(f"lam={lam!r} must be positive")
-    return (math.sqrt(1.0 + lam * lam) - 1.0) / lam
+    root = math.sqrt(1.0 + lam * lam)
+    return (root - 1.0) / lam, root, 4.0 * lam * lam, 2.0 * lam
+
+
+def x_limit(lam: float) -> float:
+    """Right end of the open x-domain: (sqrt(1 + lam^2) - 1) / lam."""
+    return _lam_terms(lam)[0]
 
 
 def regular_triangle_half_angle(thickness: float) -> float:
@@ -81,14 +91,16 @@ def arm_length(x: float, lam: float) -> float:
 
 def arm_lengths(xs: Iterable[float], lam: float) -> list[float]:
     """arm_length of every x of xs at one lam, with x_limit(lam) and
-    sqrt(1 + lam^2) computed once; raises DomainError as arm_length does."""
-    limit = x_limit(lam)
-    root = math.sqrt(1.0 + lam * lam)
+    sqrt(1 + lam^2) computed once per lam; raises DomainError as arm_length
+    does."""
+    limit, root, _, _ = _lam_terms(lam)
     out = []
     for x in xs:
         if not 0.0 <= x < limit:
             raise DomainError(f"x={x!r} outside [0, x_limit={limit!r})")
-        out.append(math.acos(_clamp((1.0 + lam * x) / root)))
+        # _clamp inline: t > 0 on the domain, so only the clip at 1 can act.
+        t = (1.0 + lam * x) / root
+        out.append(math.acos(t if t < 1.0 else 1.0))
     return out
 
 
@@ -108,13 +120,22 @@ def crossing_angle_inv(phi: float, lam: float) -> float:
     (-(1 + cos phi) + sqrt((1 + cos phi)^2 + 4 lam^2 cos phi)) / (2 lam)
     for phi in (0, pi/2).
     """
-    if lam <= 0.0:
-        raise DomainError(f"lam={lam!r} must be positive")
-    if not 0.0 < phi < HALF_PI:
-        raise DomainError(f"phi={phi!r} outside (0, pi/2)")
-    cp = math.cos(phi)
-    s = 1.0 + cp
-    return (-s + math.sqrt(s * s + 4.0 * lam * lam * cp)) / (2.0 * lam)
+    return crossing_angles_inv((phi,), lam)[0]
+
+
+def crossing_angles_inv(phis: Iterable[float], lam: float) -> list[float]:
+    """crossing_angle_inv of every phi of phis at one lam, with 4 lam^2 and
+    2 lam computed once per lam; raises DomainError as crossing_angle_inv
+    does, for lam first."""
+    _, _, four_lam2, two_lam = _lam_terms(lam)
+    out = []
+    for phi in phis:
+        if not 0.0 < phi < HALF_PI:
+            raise DomainError(f"phi={phi!r} outside (0, pi/2)")
+        cp = math.cos(phi)
+        s = 1.0 + cp
+        out.append((-s + math.sqrt(s * s + four_lam2 * cp)) / two_lam)
+    return out
 
 
 def arm_from_angle(phi: float, lam: float) -> float:

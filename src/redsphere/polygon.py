@@ -18,6 +18,13 @@ from typing import Optional
 
 import numpy as np
 
+try:
+    # Private, but every numpy since 1.12 ships it: the C kernel np.einsum
+    # passes its operands to when optimize is off, as it is by default.
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum
+
 from . import formulas
 from .errors import DegeneratePoint, DomainError, NotConvex, PolygonDocumentError
 
@@ -76,8 +83,9 @@ def norm_rows(A: np.ndarray) -> np.ndarray:
 
 
 def dot_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The dot products of the rows of the (m, 3) arrays A and B."""
-    return np.einsum("ij,ij->i", A, B)
+    """The dot products of the rows of the (m, 3) arrays A and B: bit for bit
+    np.einsum("ij,ij->i", A, B), by its C kernel, without its Python wrapper."""
+    return c_einsum("ij,ij->i", A, B)
 
 
 def _angles(X: np.ndarray) -> np.ndarray:
@@ -301,7 +309,7 @@ class SphericalPolygon:
         with np.errstate(over="ignore"):
             norm = norm_rows(V)
         # A NaN norm fails both comparisons; the diagnostics run only on failure.
-        if not ((norm >= SEPARATION_TOL) & (norm < math.inf)).all():
+        if not np.logical_and.reduce((norm >= SEPARATION_TOL) & (norm < math.inf)):
             bad = np.flatnonzero(~np.isfinite(norm))
             if bad.size:
                 raise DomainError(f"vertex {bad[0]} has a non-finite norm ({norm[bad[0]]})")
@@ -320,7 +328,7 @@ class SphericalPolygon:
             raise NotConvex(f"vertices {first} and {(first + 1) % n} coincident or antipodal")
         P /= sines[:, None]
         dots = V @ P.T  # [vertex, side opposite vertex m]
-        if not ((dots > SEPARATION_TOL) | table["ON_SIDE"]).all():
+        if not np.logical_and.reduce((dots > SEPARATION_TOL) | table["ON_SIDE"], axis=None):
             raise NotConvex("vertex on the wrong side of an edge circle "
                             "(polygon non-convex or ordered clockwise)")
         V.flags.writeable = P.flags.writeable = dots.flags.writeable = False
@@ -344,8 +352,8 @@ class SphericalPolygon:
         lune containing it.  Off the reduced family it can read low, as the lune
         through an edge and its farthest vertex need not contain the others.
         """
-        heights = np.arcsin(self._side_dots.clip(-1.0, 1.0))
-        return float(heights.max(axis=0).min())
+        heights = np.arcsin(np.minimum(np.maximum(self._side_dots, -1.0), 1.0))
+        return float(np.minimum.reduce(np.maximum.reduce(heights)))
 
     def lengths(self) -> tuple[float, float, float]:
         """Perimeter, diameter and restricted diameter, from one pair pass.
@@ -361,8 +369,9 @@ class SphericalPolygon:
         n = self.n
         # [gap - 1, vertex]
         d = _angles(self._array.take(index_table(n)["GAP_PAIRS"], axis=0)).reshape(-1, n)
-        diameter = float(d.max())
-        return float(np.add.reduce(d[0])), diameter, (float(d[-1].max()) if n % 2 else diameter)
+        diameter = float(np.maximum.reduce(d, axis=None))
+        return (float(np.add.reduce(d[0])), diameter,
+                float(np.maximum.reduce(d[-1])) if n % 2 else diameter)
 
     def circumcap(self) -> "Cap":
         """Smallest spherical cap containing every vertex.
@@ -572,13 +581,13 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     O[~crosses] = math.nan
     F.flags.writeable = O.flags.writeable = False
 
-    thickness = float(dist.min())
-    spread = float(dist.max()) - thickness
-    if not interior.all():
+    thickness = float(np.minimum.reduce(dist))
+    spread = float(np.maximum.reduce(dist)) - thickness
+    if not np.logical_and.reduce(interior):
         reason = "projection foot outside the open side interior"
     elif spread > tol:
         reason = f"distance spread {spread:.3e} exceeds tolerance {tol:.1e}"
-    elif not far_defined.all():
+    elif not np.logical_and.reduce(far_defined):
         # The claims read the far angles of every polygon that passes.
         reason, spread = _NO_ANGLE, math.inf
     else:

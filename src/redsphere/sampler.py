@@ -289,7 +289,7 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     point = _residual(params, n, lon0, w)
     # np.linalg.norm's formula for a vector, and the distance residuals' max-norm.
     norm = math.sqrt(point.r.dot(point.r))
-    history = [float(abs(point.r[:n]).max())]
+    history = [float(np.maximum.reduce(abs(point.r[:n])))]
     mu = _DAMPING
     failure: Optional[str] = None
 
@@ -304,9 +304,10 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
             step = _damped_step(J, point.r, mu)
             trial = params + step
             t_colat = trial[:n]
-            # False on a NaN colatitude, which min and max propagate, as the
-            # trial must be rejected then.
-            if 1e-6 < t_colat.min() and t_colat.max() < math.pi - 1e-6:
+            # False on a NaN colatitude, which the reductions propagate, as
+            # the trial must be rejected then.
+            if (1e-6 < np.minimum.reduce(t_colat)
+                    and np.maximum.reduce(t_colat) < math.pi - 1e-6):
                 t_point = _residual(trial, n, lon0, w)
                 t_norm = math.sqrt(t_point.r.dot(t_point.r))
                 if t_norm < norm:
@@ -316,7 +317,7 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
             mu *= 10.0
         else:
             failure = "stalled: damping exhausted without improvement"
-        history.append(float(abs(point.r[:n]).max()))
+        history.append(float(np.maximum.reduce(abs(point.r[:n]))))
 
     polygon: Optional[SphericalPolygon] = None
     witness: Optional[ReducedWitness] = None

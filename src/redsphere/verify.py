@@ -53,7 +53,7 @@ from .formulas import (
     arm_lengths,
     covering_radius_bound,
     crossing_angle,
-    crossing_angle_inv,
+    crossing_angles_inv,
     diameter_bound,
     diameter_bound_coarse,
     regular_metrics,
@@ -63,7 +63,7 @@ from .formulas import (
 from .polygon import REDUCED_TOL, ReducedWitness, SphericalPolygon, reduced_check
 from .sampler import SampleResult
 
-__all__ = ["VerificationReport", "OMEGA_GRID", "LAMBDA_GRID", "TABLE1_REFERENCE",
+__all__ = ["VerificationReport", "OMEGA_GRID", "LAMBDA_GRID", "SUITE_GRID", "TABLE1_REFERENCE",
            "check_regular_monotonicity", "check_bound_gap", "check_scalar_lemmas",
            "scalar_lemma_grid", "regular_perimeters", "table1_reports", "polygon_reports",
            "full_suite", "summarize", "reports_to_json", "reports_to_csv"]
@@ -78,6 +78,9 @@ TABLE1_REFERENCE = {
     math.pi / 3: 0.670020,
 }
 LAMBDA_GRID = (0.3, 0.5, 1.0, 2.0, 5.0)
+# (vertex counts, thicknesses) of the sample grid that `redsphere suite` and
+# the test-suite's session samples cover, cell by cell, n-major.
+SUITE_GRID = ((5, 7), (math.pi / 6, math.pi / 4, math.pi / 3))
 
 TOL_FORMULA = 1e-8
 TOL_CAP = 1e-7
@@ -133,11 +136,12 @@ def _jung_floor(radius: float) -> float:
     return 2.0 * math.asin(min(0.5 * math.sqrt(3.0) * math.sin(radius), 1.0))
 
 
-def _arm_sum(xs: Iterable[float], lam: float) -> float:
-    """sum(arm_lengths(xs, lam)), or NaN, which fails the claim, when an x,
-    or the generator xs while it makes one, leaves its formula's domain."""
+def _arm_sum(lam: float, *, xs: Iterable[float] = (), phis: Sequence[float] = ()) -> float:
+    """sum(arm_lengths(xs, lam)) or, given crossing angles phis instead, that
+    of their xs crossing_angles_inv(phis, lam); NaN, which fails the claim,
+    when a phi or an x leaves its formula's domain."""
     try:
-        return sum(arm_lengths(xs, lam))
+        return sum(arm_lengths(crossing_angles_inv(phis, lam) if phis else xs, lam))
     except DomainError:
         return math.nan
 
@@ -211,12 +215,13 @@ def table1_reports() -> list[VerificationReport]:
 
 
 @lru_cache(maxsize=32)
-def _bounds(n: int, thickness: float) -> tuple[float, ...]:
-    """g, lambda, the coarse diameter gap, the diameter and covering radius
-    bounds and the regular perimeter for n-gons of this thickness."""
+def _bounds(n: int, thickness: float) -> tuple:
+    """g, lambda, the diameter-bound row's coarse-gap tag, the diameter and
+    covering radius bounds and the regular perimeter for n-gons of this
+    thickness."""
     g = regular_triangle_half_angle(thickness)
     coarse_gap = diameter_bound_coarse(thickness) - diameter_bound(thickness)
-    return (g, math.tan(thickness), coarse_gap, diameter_bound(thickness),
+    return (g, math.tan(thickness), f" coarse_gap={coarse_gap:.9g}", diameter_bound(thickness),
             covering_radius_bound(thickness), regular_metrics(n, thickness).perimeter)
 
 
@@ -226,16 +231,17 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
 
     P.lengths() gives the perimeter and both diameters in one pass; the
     bounds depend on n and thickness alone and are computed once per pair
-    (n, thickness).
+    (n, thickness).  The crossing angles' sum is NaN exactly when a crossing
+    is missing, and then only their range row is written.
     """
     n = P.n
-    g, lam, coarse_gap, max_diameter, max_radius, regular_perimeter = _bounds(n, thickness)
+    g, lam, coarse_tag, max_diameter, max_radius, regular_perimeter = _bounds(n, thickness)
     perimeter, full_diameter, diameter = P.lengths()
     radius = P.circumcap().radius
     jung_floor = _jung_floor(radius)
     out = [
         _report("perimeter-min", tag, perimeter, regular_perimeter, TOL_FORMULA, "ge"),
-        _report("diameter-bound", f"{tag} coarse_gap={coarse_gap:.9g}", diameter,
+        _report("diameter-bound", tag + coarse_tag, diameter,
                 max_diameter, TOL_FORMULA, "le"),
         _report("circumradius-bound", f"{tag} jung_slack={diameter - jung_floor:.9g}",
                 radius, max_radius, TOL_CAP, "le"),
@@ -250,21 +256,21 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
         _report("angle-sandwich-upper", tag,
                 min(witness.edge_foot_angles), g, TOL_FORMULA, "ge"),
         _report("congruent-angle-sum", tag,
-                max(abs(far - (a + b)) for far, a, b in zip(
+                max([abs(far - (a + b)) for far, a, b in zip(
                     witness.far_angles, witness.edge_foot_angles,
-                    witness.foot_diagonal_angles)),
+                    witness.foot_diagonal_angles)]),
                 0.0, TOL_FORMULA, "le"),
         _report("boundary-arc-equality", tag,
-                max(abs(gap) for gap in witness.boundary_arc_gaps), 0.0, TOL_FORMULA, "le"),
+                max([abs(gap) for gap in witness.boundary_arc_gaps]), 0.0, TOL_FORMULA, "le"),
     ]
 
     phis = witness.crossing_angles
-    if all(not math.isnan(p) for p in phis):
+    total = sum(phis)
+    if not math.isnan(total):
         margin = min(min(phis), 0.5 * math.pi - max(phis))
         out.append(_report("crossing-angle-range", tag, margin, 0.0, 0.0, "gt"))
-        total = sum(phis)
         out.append(_report("crossing-angle-sum", tag, total, math.pi, TOL_FORMULA, "ge"))
-        spread = max(abs(p - math.pi / n) for p in phis)
+        spread = max([abs(p - math.pi / n) for p in phis])
         if spread <= REGULAR_PHI_SPREAD:
             out.append(_report("crossing-angle-sum-regular", tag, total, math.pi, 1e-9, "eq"))
             out.append(_report("crossing-angles-regular", tag, spread, 0.0, 1e-9, "le"))
@@ -272,13 +278,11 @@ def polygon_reports(P: SphericalPolygon, witness: ReducedWitness,
             out.append(_report("crossing-angle-sum-strict", tag, total, math.pi, 1e-9, "gt"))
         # Spoke-decomposition identity: geometric perimeter equals twice the
         # summed arms of the crossing parameters y_i = tan|o_i t_i|.
-        arms = _arm_sum((math.tan(y) for y in witness.crossing_foot_distances), lam)
+        arms = _arm_sum(lam, xs=map(math.tan, witness.crossing_foot_distances))
         out.append(_report("perimeter-witness-identity", tag,
                            perimeter, 2.0 * arms, TOL_FORMULA, "eq"))
-        mean_arm = _arm_sum((crossing_angle_inv(p, lam) for p in (total / n,)), lam)
-        out.append(_report("perimeter-jensen", tag,
-                           2.0 * _arm_sum((crossing_angle_inv(p, lam) for p in phis), lam),
-                           2.0 * n * mean_arm, 1e-9, "ge"))
+        out.append(_report("perimeter-jensen", tag, 2.0 * _arm_sum(lam, phis=phis),
+                           2.0 * n * _arm_sum(lam, phis=(total / n,)), 1e-9, "ge"))
     else:
         out.append(_report("crossing-angle-range", tag, math.nan, 0.0, 0.0, "gt"))
     return out

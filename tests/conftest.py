@@ -9,10 +9,10 @@ import time
 
 import pytest
 
-from redsphere import SamplerConfig, SphericalPolygon, build_regular, regular_metrics, sample_batch
+from redsphere import (SUITE_GRID, SamplerConfig, SphericalPolygon, build_regular, regular_metrics,
+                       sample_batch)
 
-GRID_N = (5, 7)
-GRID_OMEGA = (math.pi / 6, math.pi / 4, math.pi / 3)
+GRID_N, GRID_OMEGA = SUITE_GRID
 # Drawn seeds per cell; rejections leave at least 200 converged samples.
 SAMPLES_PER_CELL = 240
 

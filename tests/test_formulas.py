@@ -20,6 +20,7 @@ from redsphere import (
     covering_radius_bound,
     crossing_angle,
     crossing_angle_inv,
+    crossing_angles_inv,
     diameter_bound,
     diameter_bound_coarse,
     regular_metrics,
@@ -27,8 +28,11 @@ from redsphere import (
     x_limit,
 )
 from redsphere.formulas import _clamp
+from redsphere.verify import LAMBDA_GRID, OMEGA_GRID
 
 QUARTER_PI = 0.25 * math.pi
+# The lambdas the claims read: tan of the reference thicknesses, then the lemma grid.
+CLAIM_LAMBDAS = [math.tan(w) for w in OMEGA_GRID] + list(LAMBDA_GRID)
 
 # Frozen 40-digit oracle evaluations, rounded to double precision.
 GAMMA_QUARTER_PI = 0.5848715549190445
@@ -107,6 +111,23 @@ class TestArmLength:
             assert [arm_length(x, lam) for x in xs] == want
         assert arm_lengths([], 1.0) == []
 
+    def test_inline_clamp_is_the_clamp(self):
+        # Bit for bit math.acos(_clamp(t)), also just below x_limit, where t
+        # rounds to 1.
+        at_one = 0
+        for lam in CLAIM_LAMBDAS:
+            root = math.sqrt(1.0 + lam * lam)
+            xs = [x_limit(lam) * k / 1000 for k in range(1000)]
+            x = x_limit(lam)
+            for _ in range(16):
+                x = math.nextafter(x, 0.0)
+                xs.append(x)
+            ts = [(1.0 + lam * x) / root for x in xs]
+            at_one += sum(t >= 1.0 for t in ts)
+            assert ([a.hex() for a in arm_lengths(xs, lam)]
+                    == [math.acos(_clamp(t)).hex() for t in ts])
+        assert at_one > 0
+
     @pytest.mark.parametrize("bad", [-1e-9, 0.5, math.nan])
     def test_batch_raises_like_the_scalar(self, bad):
         with pytest.raises(DomainError) as scalar:
@@ -164,6 +185,39 @@ class TestCrossingAngleInverse:
             crossing_angle_inv(0.5 * math.pi, 1.0)
         with pytest.raises(DomainError, match="must be positive"):
             crossing_angle_inv(0.5, 0.0)
+
+    def test_batch_is_the_scalar_formula(self):
+        # The expression crossing_angle_inv evaluated before the batch form,
+        # written out here, bit for bit, at 1000 angles per lambda.
+        phis = [0.5 * math.pi * k / 1001 for k in range(1, 1001)]
+        for lam in CLAIM_LAMBDAS:
+            want = []
+            for phi in phis:
+                cp = math.cos(phi)
+                s = 1.0 + cp
+                want.append((-s + math.sqrt(s * s + 4.0 * lam * lam * cp)) / (2.0 * lam))
+            assert crossing_angles_inv(phis, lam) == want
+            assert crossing_angles_inv(iter(phis), lam) == want
+            assert [crossing_angle_inv(phi, lam) for phi in phis] == want
+        assert crossing_angles_inv([], 1.0) == []
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5])
+    def test_batch_rejects_lambda_first(self, lam):
+        for phis in ([0.5], [0.0], []):
+            with pytest.raises(DomainError) as batch:
+                crossing_angles_inv(phis, lam)
+            assert str(batch.value) == f"lam={lam!r} must be positive"
+        with pytest.raises(DomainError) as scalar:
+            crossing_angle_inv(0.0, lam)
+        assert str(scalar.value) == f"lam={lam!r} must be positive"
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 0.5 * math.pi, 2.0, math.nan])
+    def test_batch_rejects_angles_like_the_scalar(self, bad):
+        with pytest.raises(DomainError) as scalar:
+            crossing_angle_inv(bad, 1.0)
+        with pytest.raises(DomainError) as batch:
+            crossing_angles_inv([0.5, bad, 0.7], 1.0)
+        assert str(batch.value) == str(scalar.value) == f"phi={bad!r} outside (0, pi/2)"
 
 
 class TestArmFromAngle:

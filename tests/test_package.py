@@ -9,16 +9,17 @@ import redsphere
 # build redsphere.__all__, so this pins them too.
 PUBLIC_NAMES = [
     "Cap", "DegeneratePoint", "DomainError", "LAMBDA_GRID", "NotConvex",
-    "OMEGA_GRID", "PolygonDocumentError", "RedsphereError",
-    "ReducedWitness", "RegularMetrics", "SampleResult", "SamplerConfig", "SphericalPolygon",
+    "OMEGA_GRID", "PolygonDocumentError", "RedsphereError", "ReducedWitness",
+    "RegularMetrics", "SUITE_GRID", "SampleResult", "SamplerConfig", "SphericalPolygon",
     "Splitmix64", "TABLE1_REFERENCE", "VerificationReport", "__version__",
     "arm_from_angle", "arm_length", "arm_lengths", "build_regular", "check_bound_gap",
     "check_regular_monotonicity", "check_scalar_lemmas", "covering_radius_bound",
-    "crossing_angle", "crossing_angle_inv", "diameter_bound", "diameter_bound_coarse",
-    "full_suite", "load_polygon", "polygon_from_doc", "polygon_reports", "polygon_to_doc",
-    "reduced_check", "regular_metrics", "regular_perimeters", "regular_triangle_half_angle",
-    "reports_to_csv", "reports_to_json", "sample_batch", "sample_reduced",
-    "save_polygon", "scalar_lemma_grid", "summarize", "table1_reports", "x_limit",
+    "crossing_angle", "crossing_angle_inv", "crossing_angles_inv", "diameter_bound",
+    "diameter_bound_coarse", "full_suite", "load_polygon", "polygon_from_doc",
+    "polygon_reports", "polygon_to_doc", "reduced_check", "regular_metrics",
+    "regular_perimeters", "regular_triangle_half_angle", "reports_to_csv", "reports_to_json",
+    "sample_batch", "sample_reduced", "save_polygon", "scalar_lemma_grid", "summarize",
+    "table1_reports", "x_limit",
 ]
 
 
@@ -28,7 +29,7 @@ def test_every_exported_name_resolves():
 
 
 def test_exported_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 49
     assert len(set(redsphere.__all__)) == len(redsphere.__all__)
     assert sorted(redsphere.__all__) == PUBLIC_NAMES
 

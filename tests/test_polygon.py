@@ -579,6 +579,32 @@ class TestIndexTable:
         assert sampler_module._plan.__wrapped__(n)["CROSS"] is index_table(n)["SIDES"]
 
 
+class TestDotRows:
+    """dot_rows is np.einsum("ij,ij->i") bit for bit: its C kernel, called directly."""
+
+    @pytest.mark.parametrize("m", [1, 7, 63, 4830])
+    def test_random_rows(self, m):
+        rng = np.random.default_rng(m)
+        for scale in (1e-9, 1.0, 1e9):
+            X = scale * rng.standard_normal((m, 2, 3))
+            # Strided views, as the kernels pass them, and contiguous copies.
+            for A, B in ((X[:, 0], X[:, 1]), (X[:, 0].copy(), X[:, 1].copy())):
+                want = np.einsum("ij,ij->i", A, B)
+                assert polygon_module.dot_rows(A, B).tobytes() == want.tobytes()
+
+    def test_stage_rows_of_grid_polygons(self, monkeypatch, sample_grid):
+        # The rows of each stage of _measure_reduced, the last in _angles.
+        calls = []
+        dots = polygon_module.dot_rows
+        monkeypatch.setattr(polygon_module, "dot_rows",
+                            lambda A, B: calls.append((A, B)) or dots(A, B))
+        for cell in sample_grid.cells:
+            polygon_module._measure_reduced(sample_grid.converged(*cell)[0].polygon, REDUCED_TOL)
+        assert len(calls) == 4 * len(sample_grid.cells)
+        for A, B in calls:
+            assert dots(A, B).tobytes() == np.einsum("ij,ij->i", A, B).tobytes()
+
+
 class TestBuildRegular:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     @pytest.mark.parametrize("omega", [math.pi / 8, math.pi / 6, QUARTER_PI, math.pi / 3])

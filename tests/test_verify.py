@@ -5,11 +5,14 @@ import csv
 import io
 import json
 import math
+import os
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from conftest import pulled_regular
+from conftest import GRID_N, GRID_OMEGA, pulled_regular
 from redsphere import (
     SamplerConfig,
     SampleResult,
@@ -219,6 +222,48 @@ class TestPolygonReports:
         assert not [r.claim_id for r in reports if r.claim_id.startswith("crossing-angle-sum")
                     or r.claim_id in ("crossing-angles-regular", "perimeter-witness-identity",
                                       "perimeter-jensen")]
+
+
+def numpy_frames(run):
+    """(file, function) of every Python function under numpy's package
+    directory that run() enters, in call order: a sys.setprofile census."""
+    root = os.path.dirname(np.__file__) + os.sep
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            entered.append((os.path.basename(frame.f_code.co_filename), frame.f_code.co_name))
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(old)
+    return entered
+
+
+class TestNoNumpyWrappers:
+    """The hot paths reach numpy's kernels without its Python wrappers, which
+    cost more than the kernels on a polygon's few rows."""
+
+    def test_verify_item_enters_no_numpy_function(self, sample_grid):
+        for omega in GRID_OMEGA:
+            s = sample_grid.converged(7, omega)[0]
+            full_suite([s], include_formula_checks=False)
+            assert numpy_frames(lambda: full_suite([s], include_formula_checks=False)) == []
+
+    def test_sample_grid_item_enters_no_reduction_or_einsum_wrapper(self):
+        # The sampler still enters the dispatchers of np.concatenate and np.where.
+        for n in GRID_N:
+            for omega in GRID_OMEGA:
+                # Seed 0 fills the per-n index caches first.
+                sample_reduced(SamplerConfig(n=n, thickness=omega, seed=0))
+                for seed in range(1, 6):
+                    cfg = SamplerConfig(n=n, thickness=omega, seed=seed)
+                    frames = numpy_frames(
+                        lambda: full_suite([sample_reduced(cfg)], include_formula_checks=False))
+                    assert not [f for f in frames if f[0] in ("_methods.py", "einsumfunc.py")]
 
 
 def _missing_crossing_reports(sample):
