@@ -19,11 +19,17 @@ from typing import Optional
 import numpy as np
 
 try:
-    # Private, but every numpy since 1.12 ships it: the C kernel np.einsum
-    # passes its operands to when optimize is off, as it is by default.
+    # Private, but every numpy since 1.17 ships them: the C kernel np.einsum
+    # passes its operands to when optimize is off, as it is by default; the C
+    # functions under the array-function dispatchers of np.concatenate and
+    # np.where; and the clip ufunc np.clip calls.
+    from numpy._core._multiarray_umath import concatenate as c_concatenate, where as c_where
     from numpy._core.multiarray import c_einsum
+    from numpy._core.umath import clip
 except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import concatenate as c_concatenate, where as c_where
     from numpy.core.multiarray import c_einsum
+    from numpy.core.umath import clip
 
 from . import formulas
 from .errors import DegeneratePoint, DomainError, NotConvex, PolygonDocumentError
@@ -58,18 +64,21 @@ _PREV = np.array([2, 0, 1])
 
 
 def cross_plan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flat indices I with Y[0] * Y[1] - Y[2] * Y[3], Y = X.ravel()[I], the
-    rows a x b of an (m, 3) array X, as np.cross computes them."""
+    """Flat indices I with Z[0] - Z[1], Z = Y[:2] * Y[2:], Y = X.ravel()[I],
+    the rows a x b of an (m, 3) array X, as np.cross computes them: Y stacks
+    the rows a_next, a_prev, b_prev and b_next."""
     a3, b3 = 3 * a[:, None], 3 * b[:, None]
-    return np.stack([a3 + _NEXT, b3 + _PREV, a3 + _PREV, b3 + _NEXT])
+    return np.stack([a3 + _NEXT, a3 + _PREV, b3 + _PREV, b3 + _NEXT])
 
 
 def cross_rows(X: np.ndarray, plan: np.ndarray) -> np.ndarray:
-    """The rows of a cross_plan over the rows of X, by one flat gather: bit for
-    bit np.cross, without its fixed cost, and C-ordered like its result, since
-    reductions over it round differently in F order."""
+    """The rows of a cross_plan over the rows of X, by one flat gather, one
+    multiply and one subtraction: bit for bit np.cross, whose products and
+    differences round alike, without its fixed cost, and C-ordered like its
+    result, since reductions over it round differently in F order."""
     Y = X.ravel()[plan]
-    return Y[0] * Y[1] - Y[2] * Y[3]
+    Z = Y[:2] * Y[2:]
+    return Z[0] - Z[1]
 
 
 def norm_rows(A: np.ndarray) -> np.ndarray:
@@ -145,6 +154,8 @@ def index_table(n: int) -> dict[str, np.ndarray]:
         # o . v, o . T, o . T_k, o . v_k.
         "C_CROSS": cross_plan(np.concatenate([i, i]), np.concatenate([k, row(1)])),
         "C_DOTS": pairs(i, row(1), i, row(2), i, row(2, k), i, row(1, k)),
+        # The spokes from v_i and from v_k, to index their lengths.
+        "SPOKES": np.stack([i, k]),
         # D, on [V, F, Q, -Q, O]: the rows r and v of the tangents r - (v . r) v;
         # then on [V, F, Q, -Q, O, U] with U those tangents, the angles' pairs.
         "TANGENTS": pairs(nxt, i, row(1), i, k, i, i, k, row(1), k),
@@ -352,7 +363,7 @@ class SphericalPolygon:
         lune containing it.  Off the reduced family it can read low, as the lune
         through an edge and its farthest vertex need not contain the others.
         """
-        heights = np.arcsin(np.minimum(np.maximum(self._side_dots, -1.0), 1.0))
+        heights = np.arcsin(clip(self._side_dots, -1.0, 1.0))
         return float(np.minimum.reduce(np.maximum.reduce(heights)))
 
     def lengths(self) -> tuple[float, float, float]:
@@ -526,7 +537,7 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     table = index_table(n)
     k = table["FAR"]
     # Heights by dot_rows, not the diagonal of _side_dots, which can round differently.
-    W = np.concatenate([V, P])
+    W = c_concatenate([V, P])
     X = W.take(table["A_DOTS"], axis=0)
     h, v_next = dot_rows(X[:, 0], X[:, 1]).reshape(2, n)
     S = cross_rows(W, table["A_CROSS"])
@@ -536,7 +547,7 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
         return _failed(polygon, math.inf, "point coincides with a circle pole")
     F /= f_norm[:, None]
 
-    W = np.concatenate([V, F, S])
+    W = c_concatenate([V, F, S])
     X = W.take(table["B_DOTS"], axis=0)
     vf, vk, kf, fs, fj = dot_rows(X[:, 0], X[:, 1]).reshape(5, n)
     Q = cross_rows(W, table["B_CROSS"])
@@ -545,14 +556,14 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
         return _failed(polygon, math.inf, _NO_ANGLE)
     Q /= q_norm[:, None]
 
-    Y = cross_rows(np.concatenate([Q, V]), table["C_CROSS"])
+    Y = cross_rows(c_concatenate([Q, V]), table["C_CROSS"])
     C, T = Y[:n], Y[n:]
     c_norm = norm_rows(C)
     crosses = c_norm >= SEPARATION_TOL
-    O = C / np.where(crosses, c_norm, 1.0)[:, None]
-    X = np.concatenate([O, V, T]).take(table["C_DOTS"], axis=0)
+    O = C / c_where(crosses, c_norm, 1.0)[:, None]
+    X = c_concatenate([O, V, T]).take(table["C_DOTS"], axis=0)
     od = dot_rows(X[:, 0], X[:, 1]).reshape(4, n)
-    sign = np.where(od[0] < 0.0, -1.0, 1.0)
+    sign = c_where(od[0] < 0.0, -1.0, 1.0)
     O *= sign[:, None]
     od *= sign
     ov, ot, ot_k, ov_k = od
@@ -560,30 +571,34 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
     # Tangents at v_i toward v_{i+1}, t_i and v_k and at v_k toward v_i and
     # t_i.  The vertical angle at a crossing, between its rays toward v_i and
     # t_k, is the angle between q_i and -q_k for either sign.
-    W = np.concatenate([V, F, Q, -Q, O])
+    W = c_concatenate([V, F, Q, -Q, O])
     X = W.take(table["TANGENTS"], axis=0)
-    U = X[:, 0] - np.concatenate([v_next, vf, vk, vk, kf])[:, None] * X[:, 1]
-    ang = _angles(np.concatenate([W, U]).take(table["ANGLES"], axis=0))
-    dist, side, alpha, beta, phi, far, near_arc, far_arc, o_foot = ang.reshape(9, n)
-    theta, s_i, s_k = np.arctan2(np.concatenate([fs, ot, ot_k]),
-                                 np.concatenate([fj, ov, ov_k])).reshape(3, n)
+    U = X[:, 0] - c_concatenate([v_next, vf, vk, vk, kf])[:, None] * X[:, 1]
+    ang = _angles(c_concatenate([W, U]).take(table["ANGLES"], axis=0)).reshape(9, n)
+    dist, side, alpha, beta, phi, far, near_arc, far_arc, o_foot = ang
+    # Rows: theta, then the crossing's parameters s_i and s_k on spokes i and k.
+    arcs = np.arctan2(c_concatenate([fs, ot, ot_k]), c_concatenate([fj, ov, ov_k])).reshape(3, n)
+    theta = arcs[0]
     interior = (EDGE_EPS * side < theta) & (theta < (1.0 - EDGE_EPS) * side)
 
     slack = 0.5 * ON_ARC_TOL
-    crosses &= ((-slack <= s_i) & (s_i <= dist + slack)
-                & (-slack <= s_k) & (s_k <= dist[k] + slack))
-    crosses &= np.abs(dist[k] - s_k) > SEPARATION_SINE
-    phi = np.where(crosses, phi, math.nan)
+    spokes = dist[table["SPOKES"]]
+    crosses &= np.logical_and.reduce((-slack <= arcs[1:]) & (arcs[1:] <= spokes + slack))
+    crosses &= np.abs(spokes[1] - arcs[2]) > SEPARATION_SINE
     # A foot t_i on or opposite v_k leaves a zero tangent, so no angle at v_k.
     far_defined = (SEPARATION_SINE < far_arc) & (far_arc < math.pi - SEPARATION_SINE)
-    far = np.where(far_defined, far, math.nan)
-    o_foot = np.where(crosses, o_foot, math.nan)
-    O[~crosses] = math.nan
+    far[~far_defined] = math.nan
+    missing = ~crosses
+    phi[missing] = o_foot[missing] = O[missing] = math.nan
     F.flags.writeable = O.flags.writeable = False
 
-    thickness = float(np.minimum.reduce(dist))
-    spread = float(np.maximum.reduce(dist)) - thickness
-    if not np.logical_and.reduce(interior):
+    gaps = tuple((near_arc - far_arc).tolist())
+    dist, _, alpha, beta, phi, far, _, _, o_foot = map(tuple, ang.tolist())
+    # The angles of unit rows are finite, so Python's min and max are numpy's.
+    thickness = min(dist)
+    spread = max(dist) - thickness
+    foot_interior = tuple(interior.tolist())
+    if not all(foot_interior):
         reason = "projection foot outside the open side interior"
     elif spread > tol:
         reason = f"distance spread {spread:.3e} exceeds tolerance {tol:.1e}"
@@ -594,15 +609,15 @@ def _measure_reduced(polygon: SphericalPolygon, tol: float) -> ReducedWitness:
         reason = None
     return ReducedWitness(
         feet=F,
-        foot_distances=tuple(dist.tolist()),
-        foot_interior=tuple(interior.tolist()),
+        foot_distances=dist,
+        foot_interior=foot_interior,
         crossings=O,
-        edge_foot_angles=tuple(alpha.tolist()),
-        foot_diagonal_angles=tuple(beta.tolist()),
-        far_angles=tuple(far.tolist()),
-        boundary_arc_gaps=tuple((near_arc - far_arc).tolist()),
-        crossing_angles=tuple(phi.tolist()),
-        crossing_foot_distances=tuple(o_foot.tolist()),
+        edge_foot_angles=alpha,
+        foot_diagonal_angles=beta,
+        far_angles=far,
+        boundary_arc_gaps=gaps,
+        crossing_angles=phi,
+        crossing_foot_distances=o_foot,
         thickness=thickness,
         is_reduced=reason is None,
         max_residual=spread,

@@ -30,6 +30,15 @@ import numpy as np
 # Private, but every numpy since 1.8 ships it: the gufuncs np.linalg wraps.
 from numpy.linalg import _umath_linalg
 
+try:
+    # Private, but every numpy since 1.17 ships them: the C function under
+    # np.concatenate's array-function dispatcher, and the clip ufunc np.clip calls.
+    from numpy._core._multiarray_umath import concatenate as c_concatenate
+    from numpy._core.umath import clip
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import concatenate as c_concatenate
+    from numpy.core.umath import clip
+
 from .errors import RedsphereError
 from .formulas import regular_metrics
 from .polygon import (REDUCED_TOL, ReducedWitness, SphericalPolygon, cross_plan, cross_rows,
@@ -68,19 +77,31 @@ class Splitmix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    def next_uint64s(self, count: int) -> list[int]:
+        """The next count outputs, stepping a local copy of the state."""
+        state, out = self._state, []
+        for _ in range(count):
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            out.append(z ^ (z >> 31))
+        self._state = state
+        return out
+
     def next_uint64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.next_uint64s(1)[0]
 
     def uniform(self) -> float:
         return (self.next_uint64() >> 11) * 2.0**-53
 
     def symmetric(self, scale: float) -> float:
         """Uniform draw on [-scale, scale]."""
-        return (2.0 * self.uniform() - 1.0) * scale
+        return self.symmetrics(scale, 1)[0]
+
+    def symmetrics(self, scale: float, count: int) -> list[float]:
+        """count successive draws on [-scale, scale], (2 u - 1) scale for the
+        doubles u of uniform(), from one next_uint64s call."""
+        return [(2.0 * ((z >> 11) * 2.0**-53) - 1.0) * scale for z in self.next_uint64s(count)]
 
 
 def _is_a(x, kind) -> bool:
@@ -187,8 +208,9 @@ def _plan(n: int) -> dict[str, np.ndarray]:
         "HEIGHT": row[q],
         # The gauge rows: each tangent's x, then its y.
         "GAUGE": np.concatenate([3 * F_row, 3 * F_row + 1]),
-        "DEST": np.concatenate([row[q] * n_params + cols,
-                                n * n_params + np.arange(2 * n_params)]),
+        # Flat indices into J of the height gradients and of the gauge rows.
+        "DEST_H": row[q] * n_params + cols,
+        "DEST_G": n * n_params + np.arange(2 * n_params),
     }
     for a in plan.values():
         a.flags.writeable = False
@@ -208,17 +230,18 @@ def _residual(params: np.ndarray, n: int, lon0: float, w: float) -> _Point:
     opposite v_i.
     """
     plan = _plan(n)
-    angles = np.concatenate((params, (lon0,)))
-    trig = np.concatenate((np.sin(angles), np.cos(angles), _UNITS))
+    angles = c_concatenate((params, (lon0,)))
+    trig = c_concatenate((np.sin(angles), np.cos(angles), _UNITS))
     G = trig[plan["FACTORS"]]
     F = G[0] * G[1] * G[2]
     V = F[:3 * n].reshape(n, 3)
     c = cross_rows(F, plan["CROSS"])
     c_norm = norm_rows(c)
     p = c / c_norm[:, None]
-    # np.clip to [-1, 1], without its dispatch.
-    s = np.minimum(np.maximum(dot_rows(V, p), -1.0), 1.0)
-    r = np.concatenate((np.arcsin(s) - w, np.add.reduce(V, axis=0)[:2] / n))
+    s = clip(dot_rows(V, p), -1.0, 1.0)
+    r = np.empty(n + 2)
+    np.subtract(np.arcsin(s), w, out=r[:n])
+    np.divide(np.add.reduce(V[:, :2], axis=0), n, out=r[n:])
     return _Point(r, F, V, p, c_norm, s)
 
 
@@ -234,12 +257,13 @@ def _jacobian(point: _Point) -> np.ndarray:
     n = len(point.s)
     plan = _plan(n)
     u = (point.V - point.s[:, None] * point.p) / point.c_norm[:, None]
-    X = np.concatenate((point.F[:3 * n], u.ravel()))
-    grad = np.concatenate((point.p.ravel(), cross_rows(X, plan["GRAD_CROSS"])))
+    X = c_concatenate((point.F[:3 * n], u.ravel()))
+    grad = c_concatenate((point.p.ravel(), cross_rows(X, plan["GRAD_CROSS"])))
     g = 1.0 / np.sqrt(1.0 - point.s * point.s)
     heights = np.add.reduce(grad[plan["GRAD"]] * point.F[plan["TANGENT"]], axis=1)
     J = np.zeros((n + 2) * (2 * n - 1))
-    J[plan["DEST"]] = np.concatenate((heights * g[plan["HEIGHT"]], point.F[plan["GAUGE"]] / n))
+    J[plan["DEST_H"]] = heights * g[plan["HEIGHT"]]
+    J[plan["DEST_G"]] = point.F[plan["GAUGE"]] / n
     return J.reshape(n + 2, 2 * n - 1)
 
 
@@ -275,16 +299,13 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
     """
     n, w = cfg.n, cfg.thickness
     met = regular_metrics(n, w)
-    rng = Splitmix64(cfg.seed)
-    colat = np.empty(n)
-    lon = np.empty(n)
     # Draw order (fixed for reproducibility): colatitude then longitude,
     # vertex by vertex.
-    for i in range(n):
-        colat[i] = met.circumradius + rng.symmetric(cfg.perturbation_scale)
-        lon[i] = 2.0 * math.pi * i / n + rng.symmetric(cfg.perturbation_scale)
-    lon0 = float(lon[0])
-    params = np.concatenate([colat, lon[1:]])
+    draws = Splitmix64(cfg.seed).symmetrics(cfg.perturbation_scale, 2 * n)
+    colat = [met.circumradius + d for d in draws[0::2]]
+    lon = [2.0 * math.pi * i / n + d for i, d in enumerate(draws[1::2])]
+    lon0 = lon[0]
+    params = np.array(colat + lon[1:])
 
     point = _residual(params, n, lon0, w)
     # np.linalg.norm's formula for a vector, and the distance residuals' max-norm.
@@ -303,11 +324,8 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
         while mu <= _MU_CEIL:
             step = _damped_step(J, point.r, mu)
             trial = params + step
-            t_colat = trial[:n]
-            # False on a NaN colatitude, which the reductions propagate, as
-            # the trial must be rejected then.
-            if (1e-6 < np.minimum.reduce(t_colat)
-                    and np.maximum.reduce(t_colat) < math.pi - 1e-6):
+            # False on a NaN colatitude, as the trial must be rejected then.
+            if all(1e-6 < t < math.pi - 1e-6 for t in trial[:n].tolist()):
                 t_point = _residual(trial, n, lon0, w)
                 t_norm = math.sqrt(t_point.r.dot(t_point.r))
                 if t_norm < norm:
@@ -317,7 +335,9 @@ def sample_reduced(cfg: SamplerConfig) -> SampleResult:
             mu *= 10.0
         else:
             failure = "stalled: damping exhausted without improvement"
-        history.append(float(np.maximum.reduce(abs(point.r[:n]))))
+        # Python's max is numpy's on floats without a NaN: an accepted point
+        # has a finite norm, and the start point a history entry that is not NaN.
+        history.append(max(map(abs, point.r[:n].tolist())))
 
     polygon: Optional[SphericalPolygon] = None
     witness: Optional[ReducedWitness] = None

@@ -48,8 +48,6 @@ import numpy as np
 
 from .errors import DomainError
 from .formulas import (
-    arm_from_angle,
-    arm_length,
     arm_lengths,
     covering_radius_bound,
     crossing_angle,
@@ -170,9 +168,10 @@ def scalar_lemma_grid(lam: float, points: int) -> tuple[np.ndarray, ...]:
     F their arm_from_angle; xs = x_limit(lam) * k/(points + 1) and ratio their
     arm_length/crossing_angle.  The scalar-lemma rows judge these arrays."""
     phis = 0.5 * math.pi * np.arange(1, points + 1) / (points + 1)
-    F = np.array([arm_from_angle(p, lam) for p in phis])
+    F = np.array(arm_lengths(crossing_angles_inv(phis.tolist(), lam), lam))
     xs = x_limit(lam) * np.arange(1, points + 1) / (points + 1)
-    ratio = np.array([arm_length(x, lam) / crossing_angle(x, lam) for x in xs])
+    x_list = xs.tolist()
+    ratio = np.array(arm_lengths(x_list, lam)) / np.array([crossing_angle(x, lam) for x in x_list])
     return phis, F, xs, ratio
 
 

@@ -605,6 +605,55 @@ class TestDotRows:
             assert dots(A, B).tobytes() == np.einsum("ij,ij->i", A, B).tobytes()
 
 
+class TestCrossRows:
+    """cross_rows is np.cross bit for bit: both products of a row in one multiply."""
+
+    @pytest.mark.parametrize("m", [1, 7, 63, 4830])
+    def test_random_rows(self, m):
+        rng = np.random.default_rng(m)
+        plan = polygon_module.cross_plan(np.arange(m), m + np.arange(m))
+        for scale in (1e-9, 1.0, 1e9):
+            # Strided rows, and their contiguous copy.
+            Y = scale * rng.standard_normal((2 * m, 4))[:, :3]
+            for X in (Y, Y.copy()):
+                want = np.cross(X[:m], X[m:])
+                assert polygon_module.cross_rows(X, plan).tobytes() == want.tobytes()
+
+    def test_stage_rows_of_grid_polygons(self, monkeypatch, sample_grid):
+        # The side poles of the constructor, each stage's of _measure_reduced
+        # and the last in _angles.
+        calls = []
+        cross = polygon_module.cross_rows
+        monkeypatch.setattr(polygon_module, "cross_rows",
+                            lambda X, plan: calls.append((X, plan)) or cross(X, plan))
+        for cell in sample_grid.cells:
+            P = sample_grid.converged(*cell)[0].polygon
+            polygon_module._measure_reduced(SphericalPolygon(P._array), REDUCED_TOL)
+        assert len(calls) == 5 * len(sample_grid.cells)
+        for X, plan in calls:
+            # Row a of a x b is at plan[0] = 3a + 1, row b at plan[3] = 3b + 1.
+            R = X.reshape(-1, 3)
+            want = np.cross(R[plan[0][:, 0] // 3], R[plan[3][:, 0] // 3])
+            assert cross(X, plan).tobytes() == want.tobytes()
+
+
+class TestClip:
+    """The clip ufunc polygon and the sampler call is np.minimum(np.maximum())
+    bit for bit, on NaN, signed zeros, infinities and the floats just past 1."""
+
+    def test_edge_values(self):
+        edges = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0,
+                 math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0),
+                 math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), 5e-324, -5e-324]
+        rng = np.random.default_rng(5)
+        for m in (len(edges), 4830):
+            x = np.array(edges * (m // len(edges)) + list(rng.uniform(-1.5, 1.5, m % len(edges))))
+            rng.shuffle(x)
+            want = np.minimum(np.maximum(x, -1.0), 1.0).tobytes()
+            assert polygon_module.clip(x, -1.0, 1.0).tobytes() == want
+            assert sampler_module.clip(x, -1.0, 1.0).tobytes() == want
+
+
 class TestBuildRegular:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     @pytest.mark.parametrize("omega", [math.pi / 8, math.pi / 6, QUARTER_PI, math.pi / 3])

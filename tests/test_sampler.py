@@ -1,6 +1,8 @@
 """Deterministic sampling of perturbed reduced polygons."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,24 @@ class TestSplitmix64:
 
     def test_seed_sensitivity(self):
         assert Splitmix64(1).next_uint64() != Splitmix64(2).next_uint64()
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_batched_draws_are_successive_draws(self, seed):
+        for count in range(6, 63):
+            batched, single, formula = Splitmix64(seed), Splitmix64(seed), Splitmix64(seed)
+            want = [single.symmetric(0.05) for _ in range(count)]
+            assert batched.symmetrics(0.05, count) == want
+            assert [(2.0 * formula.uniform() - 1.0) * 0.05 for _ in range(count)] == want
+            # All three continue from the same state.
+            assert batched.next_uint64() == single.next_uint64() == formula.next_uint64()
+
+    def test_step_constants_are_coded_once(self):
+        # Docstrings may quote them; code states them in one place.
+        constants = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
+        found = [node.value for path in Path(sampler.__file__).parent.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Constant) and node.value in constants]
+        assert sorted(found) == sorted(constants)
 
 
 class TestSamplerConfig:
@@ -195,6 +215,32 @@ class TestSampleReduced:
             assert _alignment_deviation(res.polygon.as_array(), reg) < 1e-6
 
 
+def _history_of_recorded_points(monkeypatch, cfg):
+    """The sample of cfg and the residual history replayed from the points
+    its solve evaluated: each iteration, between two Jacobians, accepts its
+    last trial if that lowers the norm; numpy's max-norm of each point."""
+    events = []
+    residual, jacobian = sampler._residual, sampler._jacobian
+    monkeypatch.setattr(sampler, "_residual", lambda *a: events.append(residual(*a)) or events[-1])
+    monkeypatch.setattr(sampler, "_jacobian", lambda p: events.append(None) or jacobian(p))
+    res = sample_reduced(cfg)
+    monkeypatch.undo()
+    n = cfg.n
+    iterations = [[]]
+    for e in events:
+        if e is None:
+            iterations.append([])
+        else:
+            iterations[-1].append(e.r)
+    r = iterations[0][0]
+    want = [float(np.maximum.reduce(abs(r[:n])))]
+    for trials in iterations[1:]:
+        if trials and math.sqrt(trials[-1].dot(trials[-1])) < math.sqrt(r.dot(r)):
+            r = trials[-1]
+        want.append(float(np.maximum.reduce(abs(r[:n]))))
+    return res, tuple(want)
+
+
 def _not_convex(V):
     raise NotConvex("forced")
 
@@ -238,6 +284,18 @@ class TestFailureReasons:
         rows = full_suite([res], include_formula_checks=False)
         assert [(r.claim_id, r.passed) for r in rows] == [("sample-rejected", True)]
         assert rows[0].inputs.endswith("reason=degenerate geometry at the solution: forced")
+
+    @pytest.mark.parametrize("ceiling, cap, reason", [
+        (1e13, 200, None),
+        (1e-4, 200, "stalled: damping exhausted without improvement"),
+        (1e13, 3, "max_iterations reached"),
+    ])
+    def test_history_is_the_max_norm_of_accepted_points(self, monkeypatch, ceiling, cap, reason):
+        monkeypatch.setattr(sampler, "_MU_CEIL", ceiling)
+        monkeypatch.setattr(sampler, "_MAX_ITERATIONS", cap)
+        res, want = _history_of_recorded_points(monkeypatch, self.CFG)
+        assert res.failure_reason == reason
+        assert res.residual_history == want
 
     def test_stall_keeps_its_reason_over_degenerate_geometry(self, monkeypatch):
         monkeypatch.setattr(sampler, "_MU_CEIL", 1e-4)

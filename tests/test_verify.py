@@ -254,16 +254,19 @@ class TestNoNumpyWrappers:
             assert numpy_frames(lambda: full_suite([s], include_formula_checks=False)) == []
 
     def test_sample_grid_item_enters_no_reduction_or_einsum_wrapper(self):
-        # The sampler still enters the dispatchers of np.concatenate and np.where.
+        # Only the constructor's np.errstate is left: the sampler and
+        # reduced_check call the C functions under np.concatenate's and
+        # np.where's dispatchers, and the clip ufunc.
         for n in GRID_N:
             for omega in GRID_OMEGA:
-                # Seed 0 fills the per-n index caches first.
-                sample_reduced(SamplerConfig(n=n, thickness=omega, seed=0))
-                for seed in range(1, 6):
-                    cfg = SamplerConfig(n=n, thickness=omega, seed=seed)
+                configs = [SamplerConfig(n=n, thickness=omega, seed=seed) for seed in range(6)]
+                # A first pass fills the per-n index and per-m pair caches.
+                for cfg in configs:
+                    full_suite([sample_reduced(cfg)], include_formula_checks=False)
+                for cfg in configs:
                     frames = numpy_frames(
                         lambda: full_suite([sample_reduced(cfg)], include_formula_checks=False))
-                    assert not [f for f in frames if f[0] in ("_methods.py", "einsumfunc.py")]
+                    assert {f[0] for f in frames} == {"_ufunc_config.py"}
 
 
 def _missing_crossing_reports(sample):
