@@ -30,19 +30,10 @@ import numpy as np
 # Private, but every numpy since 1.8 ships it: the gufuncs np.linalg wraps.
 from numpy.linalg import _umath_linalg
 
-try:
-    # Private, but every numpy since 1.17 ships them: the C function under
-    # np.concatenate's array-function dispatcher, and the clip ufunc np.clip calls.
-    from numpy._core._multiarray_umath import concatenate as c_concatenate
-    from numpy._core.umath import clip
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import concatenate as c_concatenate
-    from numpy.core.umath import clip
-
 from .errors import RedsphereError
 from .formulas import regular_metrics
-from .polygon import (REDUCED_TOL, ReducedWitness, SphericalPolygon, cross_plan, cross_rows,
-                      dot_rows, index_table, norm_rows, reduced_check)
+from .polygon import (REDUCED_TOL, ReducedWitness, SphericalPolygon, c_concatenate, clip,
+                      cross_plan, cross_rows, dot_rows, index_table, norm_rows, reduced_check)
 
 __all__ = ["Splitmix64", "SamplerConfig", "SampleResult", "sample_reduced", "sample_batch"]
 

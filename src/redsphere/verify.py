@@ -66,15 +66,15 @@ __all__ = ["VerificationReport", "OMEGA_GRID", "LAMBDA_GRID", "SUITE_GRID", "TAB
            "scalar_lemma_grid", "regular_perimeters", "table1_reports", "polygon_reports",
            "full_suite", "summarize", "reports_to_json", "reports_to_csv"]
 
-# Thickness grid of the reference table; also the default formula grid.
-OMEGA_GRID = (math.pi / 8, math.pi / 6, math.pi / 4, math.pi / 3)
-# Six-decimal reference values for the covering radius on that grid.
+# Six-decimal reference values for the covering radius, by thickness.
 TABLE1_REFERENCE = {
     math.pi / 8: 0.260304,
     math.pi / 6: 0.345523,
     math.pi / 4: 0.511669,
     math.pi / 3: 0.670020,
 }
+# Thickness grid of the reference table; also the default formula grid.
+OMEGA_GRID = tuple(TABLE1_REFERENCE)
 LAMBDA_GRID = (0.3, 0.5, 1.0, 2.0, 5.0)
 # (vertex counts, thicknesses) of the sample grid that `redsphere suite` and
 # the test-suite's session samples cover, cell by cell, n-major.

@@ -43,3 +43,23 @@ def test_no_module_imports_another_modules_private_names():
                 private += [(path.name, alias.name) for alias in node.names
                             if alias.name.startswith("_")]
     assert not private
+
+
+def test_only_polygon_binds_numpy_core():
+    # One binding site for numpy's private kernels and their numpy 1.x fallback.
+    def is_core(name):
+        return any(name == core or name.startswith(core + ".")
+                   for core in ("numpy._core", "numpy.core"))
+
+    binders = set()
+    for path in sorted(Path(redsphere.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(map(is_core, names)):
+                binders.add(path.name)
+    assert binders == {"polygon.py"}

@@ -1,8 +1,10 @@
 """Polygon type, regular construction, reducedness witness, metric oracles."""
 
+import importlib
 import json
 import math
 import timeit
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -637,9 +639,34 @@ class TestCrossRows:
             assert cross(X, plan).tobytes() == want.tobytes()
 
 
+class TestBindings:
+    """polygon binds numpy's private kernels once, and the sampler imports them."""
+
+    def test_dispatchers_call_the_bound_functions(self):
+        assert polygon_module.c_concatenate is np.concatenate._implementation
+        assert polygon_module.c_where is np.where._implementation
+
+    def test_sampler_calls_polygons_bindings(self):
+        assert sampler_module.c_concatenate is polygon_module.c_concatenate
+        assert sampler_module.clip is polygon_module.clip
+
+    @pytest.mark.parametrize("module, name, bound", [
+        ("numpy.core._multiarray_umath", "concatenate", "c_concatenate"),
+        ("numpy.core._multiarray_umath", "where", "c_where"),
+        ("numpy.core.multiarray", "c_einsum", "c_einsum"),
+        ("numpy.core.umath", "clip", "clip"),
+    ])
+    def test_numpy1_fallback_spelling(self, module, name, bound):
+        # numpy 2 keeps numpy.core as a deprecated alias of numpy._core; numpy 1.x does not warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            fallback = getattr(importlib.import_module(module), name)
+        assert fallback is getattr(polygon_module, bound)
+
+
 class TestClip:
-    """The clip ufunc polygon and the sampler call is np.minimum(np.maximum())
-    bit for bit, on NaN, signed zeros, infinities and the floats just past 1."""
+    """The clip ufunc polygon binds is np.minimum(np.maximum()) bit for bit,
+    on NaN, signed zeros, infinities and the floats just past 1."""
 
     def test_edge_values(self):
         edges = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0,
@@ -651,7 +678,6 @@ class TestClip:
             rng.shuffle(x)
             want = np.minimum(np.maximum(x, -1.0), 1.0).tobytes()
             assert polygon_module.clip(x, -1.0, 1.0).tobytes() == want
-            assert sampler_module.clip(x, -1.0, 1.0).tobytes() == want
 
 
 class TestBuildRegular:
